@@ -9,12 +9,10 @@ spans demands the scalar ring.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .linalg import (Matrix, RrefAccumulator, Subspace, invert, kernel,
+from .linalg import (Matrix, RrefAccumulator, Subspace, invert,
                      kernel_of_sparse_rows)
 from .scalars import ONE, POLY_ZERO, ZERO, Poly, Scalar
 
@@ -122,10 +120,15 @@ def bracket(a: StructureTable, x: Sequence, y: Sequence) -> list:
     return out
 
 
-def _residues_range(a: StructureTable, lo: int, hi: int) -> list:
+def leibniz_residues(a: StructureTable) -> list:
+    """All nonzero residues [ei,[ej,ek]] - [[ei,ej],ek] + [[ei,ek],ej].
+
+    Returns a list of ((i, j, k), {component: coefficient}) entries, ordered
+    by (i, j, k).
+    """
     out = []
     d = a.dim
-    for i in range(lo, hi):
+    for i in range(d):
         for j in range(d):
             rij = a.row(i, j)
             for k in range(d):
@@ -155,47 +158,12 @@ def _residues_range(a: StructureTable, lo: int, hi: int) -> list:
     return out
 
 
-def thread_count() -> int:
-    """Worker cap from LEIBNIZ_LAB_THREADS (0 or unset means automatic)."""
-    raw = os.environ.get("LEIBNIZ_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LEIBNIZ_LAB_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError("LEIBNIZ_LAB_THREADS must be >= 0")
-    return n
+def is_leibniz(a: StructureTable) -> bool:
+    return not leibniz_residues(a)
 
 
-def leibniz_residues(a: StructureTable, threads: int | None = None) -> list:
-    """All nonzero residues [ei,[ej,ek]] - [[ei,ej],ek] + [[ei,ek],ej].
-
-    Returns a list of ((i, j, k), {component: coefficient}) entries, ordered
-    by (i, j, k).  Triples are independent, so the scan may be chunked across
-    threads; results are identical to the sequential order either way.
-    """
-    if threads is None:
-        threads = thread_count()
-    d = a.dim
-    if threads > 1 and d >= 8:
-        workers = min(threads, d)
-        bounds = [(lo, min(lo + (d + workers - 1) // workers, d))
-                  for lo in range(0, d, (d + workers - 1) // workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(lambda b: _residues_range(a, b[0], b[1]), bounds)
-        out = []
-        for ch in chunks:
-            out.extend(ch)
-        return out
-    return _residues_range(a, 0, d)
-
-
-def is_leibniz(a: StructureTable, threads: int | None = None) -> bool:
-    return not leibniz_residues(a, threads=threads)
-
-
-def is_lie(a: StructureTable) -> bool:
-    """Leibniz plus a fully skew product (so squares vanish too)."""
+def _is_skew(a: StructureTable) -> bool:
+    """[ei, ej] = -[ej, ei] for all i <= j, so squares vanish too."""
     d = a.dim
     zero = _zero_of(a.ring)
     for i in range(d):
@@ -206,7 +174,12 @@ def is_lie(a: StructureTable) -> bool:
                 s = rij.get(k, zero) + rji.get(k, zero)
                 if not s.is_zero():
                     return False
-    return is_leibniz(a)
+    return True
+
+
+def is_lie(a: StructureTable) -> bool:
+    """Leibniz plus a fully skew product (so squares vanish too)."""
+    return _is_skew(a) and is_leibniz(a)
 
 
 def mult_matrix(a: StructureTable, x: Sequence, side: str) -> Matrix:
@@ -286,16 +259,11 @@ def right_annihilator(a: StructureTable) -> Subspace:
     """{v : [x, v] = 0 for all x}, the common kernel of all left actions."""
     if a.ring != SCALAR:
         raise ValueError("right_annihilator requires scalar coefficients")
-    d = a.dim
-    rows = []
-    for i in range(d):
-        for r in range(d):
-            row = [a.row(i, s).get(r, ZERO) for s in range(d)]
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    if not rows:
-        return Subspace.full(d)
-    return kernel(Matrix(rows, ncols=d))
+    rows: dict = {}
+    for (i, s), row in a.c.items():
+        for r, c in row.items():
+            rows.setdefault((i, r), {})[s] = c
+    return kernel_of_sparse_rows(rows.values(), a.dim)
 
 
 def is_ideal(a: StructureTable, s: Subspace) -> bool:
@@ -369,10 +337,6 @@ def derivation_algebra(a: StructureTable) -> Subspace:
                         yield nz
 
     return kernel_of_sparse_rows(rows(), n * n)
-
-
-def matrix_as_vector(m: Matrix) -> list:
-    return [m.rows[r][s] for r in range(m.nrows) for s in range(m.ncols)]
 
 
 class BasisChange:
@@ -467,6 +431,8 @@ def table_from_document(doc: Mapping) -> StructureTable:
         raise ValueError("field 'labels' contains duplicates")
     entries: dict = {}
     for rec in doc["brackets"]:
+        if not isinstance(rec, dict):
+            raise ValueError("bracket record must be an object")
         for field in ("left", "right", "value"):
             if field not in rec:
                 raise ValueError(f"bracket record is missing field {field!r}")
@@ -474,8 +440,12 @@ def table_from_document(doc: Mapping) -> StructureTable:
             i, j = index[rec["left"]], index[rec["right"]]
         except KeyError as exc:
             raise ValueError(f"bracket references unknown label {exc.args[0]!r}") from None
+        if not isinstance(rec["value"], list):
+            raise ValueError("bracket value must be a list of terms")
         row: dict = {}
         for term in rec["value"]:
+            if not isinstance(term, dict):
+                raise ValueError("bracket term must be an object")
             if "coef" not in term or "basis" not in term:
                 raise ValueError("bracket term must carry 'coef' and 'basis'")
             if term["basis"] not in index:
@@ -525,10 +495,14 @@ class TableChecks:
 
     @classmethod
     def of(cls, a: StructureTable) -> "TableChecks":
+        """One residue scan and one build of each series."""
+        leibniz = is_leibniz(a)
+        signature = series_signature(a)
+        lc, dv = signature
         return cls(
-            leibniz=is_leibniz(a),
-            lie=is_lie(a),
-            nilpotent=is_nilpotent(a),
-            solvable=is_solvable(a),
-            signature=series_signature(a),
+            leibniz=leibniz,
+            lie=leibniz and _is_skew(a),
+            nilpotent=lc[-1] == 0,
+            solvable=dv[-1] == 0,
+            signature=signature,
         )

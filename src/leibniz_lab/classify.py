@@ -193,10 +193,6 @@ class Classification:
     note: Optional[str] = None
 
 
-def _identity_rows(d: int) -> list:
-    return [[ONE if r == c else ZERO for c in range(d)] for r in range(d)]
-
-
 def classify_L41(p: L41Params) -> Classification:
     """Carry a non-skew member onto its canonical table by a basis change.
 
@@ -212,7 +208,7 @@ def classify_L41(p: L41Params) -> Classification:
 
     if a12.is_zero():
         inv = ONE / a23
-        rows = _identity_rows(7)
+        rows = Matrix.identity(7).copy_rows()
         rows[N23][N14] = p.a_23_14 * inv
         rows[N34][N13] = -(p.a_34_13 * inv * HALF)
         rows[6][6] = inv
@@ -232,7 +228,7 @@ def classify_L41(p: L41Params) -> Classification:
         tsq = p.s_14 * inv * inv
         t23 = a23 * inv
         if a23.is_zero():
-            rows = _identity_rows(7)
+            rows = Matrix.identity(7).copy_rows()
             rows[N12][N24] = t24 * HALF
             rows[N34][N13] = -(t34 * HALF)
             rows[6][6] = inv
@@ -242,12 +238,12 @@ def classify_L41(p: L41Params) -> Classification:
             case = "2.1"
             note = None
         elif (a23 + a12).is_zero():
-            rows = _identity_rows(7)
+            rows = Matrix.identity(7).copy_rows()
             rows[N12][N24] = t24 * HALF
             rows[N23][N14] = -t14
             rows[6][6] = inv
             first = BasisChange(Matrix(rows))
-            swap = [[ZERO] * 7 for _ in range(7)]
+            swap = Matrix.zeros(7, 7).copy_rows()
             swap[N12][N34] = -ONE
             swap[N23][N23] = -ONE
             swap[N34][N12] = -ONE
@@ -264,7 +260,7 @@ def classify_L41(p: L41Params) -> Classification:
         else:
             if tsq.is_zero():
                 raise ValueError("Lie member, out of scope")
-            rows = _identity_rows(7)
+            rows = Matrix.identity(7).copy_rows()
             rows[N12][N24] = t24 * HALF
             rows[N23][N14] = t14 / t23
             rows[N34][N34] = tsq

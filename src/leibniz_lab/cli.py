@@ -28,6 +28,22 @@ class CliError(ValueError):
     """Problem with the invocation or its input files; exits with code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise CliError instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(f"{self.prog}: {message}")
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 @dataclass
 class Report:
     command: str
@@ -260,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", dest="fmt",
                         help="output style; structured prints one JSON object")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="leibniz-lab",
         description="Exact computations with triangular nilpotent algebras "
                     "and their solvable extensions.")
@@ -288,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check corner annihilation on a non-skew table")
     p.add_argument("--n", type=int)
     p.add_argument("--f", type=int, default=1)
-    p.add_argument("--samples", type=int, default=100,
+    p.add_argument("--samples", type=positive_int, default=100,
                    help="sample count for --theorem (default 100)")
     p.add_argument("file", nargs="?", help="algebra file (for --eq)")
 
@@ -334,8 +350,27 @@ def _emit(report: Report, fmt: str) -> None:
         print(f"wrote {path}")
 
 
+def _requested_format(argv: list) -> str:
+    """The --format value in argv, read without argparse for usage errors."""
+    fmt = "text"
+    for k, tok in enumerate(argv):
+        if tok == "--format" and k + 1 < len(argv):
+            fmt = argv[k + 1]
+        elif tok.startswith("--format="):
+            fmt = tok.partition("=")[2]
+    return fmt
+
+
 def run(argv=None) -> Report:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if _requested_format(argv) == "structured":
+            command = argv[0] if argv and argv[0] in HANDLERS else None
+            _emit(Report(command, {"error": str(exc)}, [], 2), "structured")
+        raise SystemExit(2) from None
     fmt = args.fmt
     try:
         report = HANDLERS[args.command](args)

@@ -18,12 +18,13 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import POLY, StructureTable, is_lie, leibniz_residues
-from .linalg import Matrix, Subspace, rref, sparse_kernel_basis
+from .linalg import Matrix, RrefAccumulator, sparse_kernel_basis
 from .scalars import ONE, ZERO, Poly, Scalar
-from .symsolve import (LinearSpan, linear_parts, poly_combination,
-                       random_combination, random_scalar, solution_point)
+from .symsolve import (LinearSpan, poly_combination, random_combination,
+                       random_scalar, solution_point)
 from .triangular import (allowed_offdiagonal, corner_index, generator_label,
-                         pair_index, pair_label, pairs, triangular)
+                         nil_independent_count, pair_index, pair_label, pairs,
+                         triangular)
 
 MAX_SYMBOLIC_N = 8
 
@@ -165,33 +166,22 @@ def _mon_priority(mon):
 def linear_forms_in_span(polys: Iterable[Poly]) -> list:
     """Degree <= 1 elements of the scalar span of the given polynomials.
 
-    Sparse elimination keyed by monomial, preferring degree-2 pivots, so a
-    stored row with a degree-1 pivot carries no degree-2 monomial at all.
-    Every returned form is a scalar combination of the inputs.
+    The eliminator's columns are keyed by `_mon_priority`, which puts the
+    degree-2 monomials first, so a row with a degree-1 pivot carries no
+    degree-2 monomial at all.  Those rows, fully reduced, span every linear
+    form in the span of the inputs.
     """
-    pivots: dict = {}
+    acc = RrefAccumulator()
     for p in polys:
         if not p.constant_term().is_zero():
             raise ValueError("unexpected constant term in a residue polynomial")
-        row = dict(p.terms)
-        while row:
-            lead = min(row, key=_mon_priority)
-            hit = pivots.get(lead)
-            if hit is None:
-                inv = row[lead].inverse()
-                pivots[lead] = {m: c * inv for m, c in row.items()}
-                break
-            factor = row[lead]
-            for m, c in hit.items():
-                v = row.get(m, ZERO) - factor * c
-                if v.is_zero():
-                    row.pop(m, None)
-                else:
-                    row[m] = v
+        acc.add({_mon_priority(mon): c for mon, c in p.terms.items()})
     out = []
-    for lead, row in pivots.items():
-        if _mon_priority(lead)[0] == 1:
-            out.append(Poly(dict(row)))
+    for lead, row in acc.pivots.items():
+        if lead[0] == 1:
+            terms = {key[-1]: c for key, c in row.items()}
+            terms[lead[-1]] = ONE
+            out.append(Poly(terms))
     return out
 
 
@@ -202,29 +192,18 @@ def solve_linear_forms(forms: Sequence[Poly]) -> dict:
     right-action names, so the solved variables are the b and s families
     whenever the span allows it.
     """
-    names: set = set()
+    acc = RrefAccumulator()
     for p in forms:
-        names |= p.indeterminates()
-    variables = sorted(names, key=lambda v: (_var_rank(v), v))
-    rows = []
-    for p in forms:
-        row, const = linear_parts(p, variables)
-        if not const.is_zero():
-            raise ValueError(f"{p} is not homogeneous")
-        rows.append(row)
-    if not rows:
-        return {}
-    red, rank = rref(Matrix(rows, ncols=len(variables)))
-    sub: dict = {}
-    for r in range(rank):
-        lead = next(c for c in range(len(variables)) if not red.rows[r][c].is_zero())
-        expr = Poly.zero()
-        for c in range(lead + 1, len(variables)):
-            coef = red.rows[r][c]
-            if not coef.is_zero():
-                expr = expr + Poly.var(variables[c]).scale(-coef)
-        sub[variables[lead]] = expr
-    return sub
+        row = {}
+        for mon, coeff in p.terms.items():
+            if not mon:
+                raise ValueError(f"{p} is not homogeneous")
+            if len(mon) != 1 or mon[0][1] != 1:
+                raise ValueError(f"{p} is not a linear form")
+            row[(_var_rank(mon[0][0]), mon[0][0])] = coeff
+        acc.add(row)
+    return {lead: Poly({((v, 1),): -c for (_, v), c in sorted(row.items())})
+            for (_, lead), row in sorted(acc.pivots.items())}
 
 
 def stated_quadratics(n: int, f: int) -> tuple:
@@ -630,14 +609,16 @@ def _compiled_residue_rows(n: int, f: int) -> tuple:
     return rest, tuple(dict.fromkeys(rows))
 
 
-def _solve_with_diagonal(n: int, f: int, diag: Mapping[str, Scalar],
+def _solve_with_diagonal(n: int, f: int, vecs: Sequence[Sequence[Scalar]],
                          rng: random.Random) -> dict:
-    """Random exact parameter point with the given diagonal entries.
+    """Random exact parameter point where generator al has diagonal vecs[al - 1].
 
     Numeric diagonals turn every surviving residue into a homogeneous linear
     equation in the remaining parameters, so a random kernel element gives an
     exact member of the family.
     """
+    diag = {name: v for al in range(1, f + 1)
+            for name, v in zip(diagonal_names(n, f, al), vecs[al - 1])}
     rest, rows = _compiled_residue_rows(n, f)
     sparse = []
     for constants, cells in rows:
@@ -666,9 +647,13 @@ def _solve_with_diagonal(n: int, f: int, diag: Mapping[str, Scalar],
     return point
 
 
-def _diag_rank(vectors: Sequence[Sequence[Scalar]]) -> int:
-    return Subspace.from_vectors([list(v) for v in vectors],
-                                 ambient=len(vectors[0])).dim
+def _tracefree_diagonal(n: int, rng: random.Random) -> list:
+    """Random diagonal entries of one generator with total trace zero."""
+    head = [random_scalar(rng) for _ in range(n - 2)]
+    total = ZERO
+    for v in head:
+        total = total + v
+    return head + [-total]
 
 
 def _draw_diagonals(n: int, f: int, rng: random.Random,
@@ -677,14 +662,10 @@ def _draw_diagonals(n: int, f: int, rng: random.Random,
         vecs = []
         for _ in range(f):
             if tracefree:
-                head = [random_scalar(rng) for _ in range(n - 2)]
-                total = ZERO
-                for v in head:
-                    total = total + v
-                vecs.append(head + [-total])
+                vecs.append(_tracefree_diagonal(n, rng))
             else:
                 vecs.append([random_scalar(rng) for _ in range(n - 1)])
-        if _diag_rank(vecs) == f:
+        if nil_independent_count(vecs) == f:
             return vecs
     vecs = []
     for al in range(f):
@@ -743,11 +724,7 @@ def sample_extension_specs(n: int, f: int, count: int, seed: int = 0,
         else:
             mode = branch
         vecs = _draw_diagonals(n, f, rng, tracefree=(mode == "nonlie"))
-        diag = {}
-        for al in range(1, f + 1):
-            for name, v in zip(diagonal_names(n, f, al), vecs[al - 1]):
-                diag[name] = v
-        params = _solve_with_diagonal(n, f, diag, rng)
+        params = _solve_with_diagonal(n, f, vecs, rng)
         if mode == "nonlie" and _params_are_skew(n, f, params):
             key = sigma_param(1, 1)
             params[key] = params.get(key, ZERO) + ONE
@@ -763,11 +740,7 @@ def maximal_extension_spec(n: int, seed: int = 0) -> ExtensionSpec:
         raise ValueError("sampling requires n >= 4")
     f = n - 1
     rng = random.Random(seed)
-    diag = {}
-    for al in range(1, f + 1):
-        for i, name in enumerate(diagonal_names(n, f, al), start=1):
-            diag[name] = ONE if i == al else ZERO
-    params = _solve_with_diagonal(n, f, diag, rng)
+    params = _solve_with_diagonal(n, f, Matrix.identity(f).rows, rng)
     return ExtensionSpec(n=n, f=f, params={k: v for k, v in params.items()
                                            if not v.is_zero()})
 
@@ -839,24 +812,14 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
     fixed_first = None if corrupt else [ONE] + [ZERO] * (n - 2)
     for _ in range(samples):
         if corrupt:
-            vecs = []
-            for _ in range(f):
-                row = [random_scalar(rng) for _ in range(n - 2)]
-                total = ZERO
-                for v in row:
-                    total = total + v
-                vecs.append(row + [-total])
+            vecs = [_tracefree_diagonal(n, rng) for _ in range(f)]
         else:
             while True:
                 vecs = [fixed_first] + [[random_scalar(rng) for _ in range(n - 1)]
                                         for _ in range(f - 1)]
-                if _diag_rank(vecs) == f:
+                if nil_independent_count(vecs) == f:
                     break
-        diag = {}
-        for al in range(1, f + 1):
-            for name, v in zip(diagonal_names(n, f, al), vecs[al - 1]):
-                diag[name] = v
-        params = _solve_with_diagonal(n, f, diag, rng)
+        params = _solve_with_diagonal(n, f, vecs, rng)
         if corrupt and _params_are_skew(n, f, params):
             key = sigma_param(1, 1)
             params[key] = params.get(key, ZERO) + ONE

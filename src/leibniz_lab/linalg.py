@@ -1,8 +1,9 @@
 """Exact linear algebra over Q(i): RREF, kernels, spans and canonical subspaces.
 
-Subspaces are always stored in reduced row echelon form so structural equality
-is plain row-by-row equality.  Pivot choice is fixed (leftmost nonzero column,
-topmost row) which makes every result reproducible.
+`RrefAccumulator` is the one eliminator; every routine here and in the
+symbolic layers builds on it.  It keeps rows in reduced row echelon form,
+which is unique, so every result is reproducible whatever the insertion
+order, and subspaces compare equal exactly when their rows do.
 """
 
 from __future__ import annotations
@@ -36,13 +37,6 @@ class Matrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
         return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], ncols=self.nrows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -90,94 +84,168 @@ class Matrix:
         return [list(r) for r in self.rows]
 
 
+def _sparse(vec) -> dict:
+    """Fresh {column: coeff} copy of a dense vector or a sparse row, zeros dropped."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: x for c, x in items if not x.is_zero()}
+
+
+def _subtract(v: dict, f: Scalar, row: dict) -> None:
+    """v -= f * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c)
+        if y is None:
+            v[c] = -(f * x)
+        else:
+            y = y - f * x
+            if y.is_zero():
+                del v[c]
+            else:
+                v[c] = y
+
+
+class RrefAccumulator:
+    """Exact sparse eliminator: rows kept in reduced row echelon form.
+
+    Each row is stored under its pivot, its least column key, as the
+    {column: coeff} entries after the pivot; the pivot coefficient is 1 and
+    every other row is 0 there.  Columns may be any mutually comparable
+    keys.  `ambient`, the number of integer columns 0..ambient-1, is needed
+    only by the dense views `rows` and `kernel_basis`.
+    """
+
+    __slots__ = ("ambient", "pivots")
+
+    def __init__(self, ambient: int | None = None):
+        self.ambient = ambient
+        self.pivots: dict = {}
+
+    def reduce(self, vec) -> dict:
+        """Sparse residue of a dense vector or {column: coeff} row.
+
+        One pass suffices: stored rows vanish on each other's pivots, so
+        clearing one pivot column never refills another.
+        """
+        v = _sparse(vec)
+        for p in [c for c in v if c in self.pivots]:
+            _subtract(v, v.pop(p), self.pivots[p])
+        return v
+
+    def add(self, vec) -> bool:
+        """Insert a vector or sparse row; returns True if it enlarged the span."""
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = v.pop(pivot).inverse()
+        tail = {c: x * inv for c, x in v.items()}
+        for row in self.pivots.values():
+            f = row.pop(pivot, None)
+            if f is not None:
+                _subtract(row, f, tail)
+        self.pivots[pivot] = tail
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def rows(self) -> list:
+        """Dense rows in pivot order."""
+        out = []
+        for p in sorted(self.pivots):
+            row = [ZERO] * self.ambient
+            row[p] = ONE
+            for c, x in self.pivots[p].items():
+                row[c] = x
+            out.append(row)
+        return out
+
+    def kernel_basis(self) -> list:
+        """Null space basis: for each free column c in order, e_c minus
+        column c of the stored rows placed at their pivots."""
+        basis = {}
+        for c in range(self.ambient):
+            if c not in self.pivots:
+                basis[c] = [ZERO] * self.ambient
+                basis[c][c] = ONE
+        for p, row in self.pivots.items():
+            for c, x in row.items():
+                basis[c][p] = -x
+        return list(basis.values())
+
+    def to_subspace(self) -> "Subspace":
+        """The span as a Subspace, which takes this accumulator over."""
+        return Subspace(self)
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Unique reduced row echelon form and rank."""
-    rows = m.copy_rows()
-    nrows, ncols = m.nrows, m.ncols
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if not rows[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return Matrix(rows, ncols=ncols), rank
-
-
-def _pivot_cols(rref_rows: list, ncols: int) -> list:
-    cols = []
-    for row in rref_rows:
-        for j in range(ncols):
-            if not row[j].is_zero():
-                cols.append(j)
-                break
-    return cols
+    """Unique reduced row echelon form (zero rows last) and rank."""
+    acc = RrefAccumulator(m.ncols)
+    for row in m.rows:
+        acc.add(row)
+    rows = acc.rows()
+    rank = len(rows)
+    rows += [[ZERO] * m.ncols for _ in range(m.nrows - rank)]
+    return Matrix(rows, ncols=m.ncols), rank
 
 
 class Subspace:
-    """A subspace of Q(i)^ambient, basis stored as RREF rows without zero rows."""
+    """A subspace of Q(i)^ambient: its eliminator and the dense RREF basis rows."""
 
-    __slots__ = ("ambient", "mat")
+    __slots__ = ("ambient", "acc", "mat")
 
-    def __init__(self, ambient: int, mat: Matrix):
-        self.ambient = ambient
-        self.mat = mat
+    def __init__(self, acc: RrefAccumulator):
+        self.acc = acc
+        self.ambient = acc.ambient
+        self.mat = Matrix(acc.rows(), ncols=acc.ambient)
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Vector], ambient: int | None = None) -> "Subspace":
         if not vectors:
             if ambient is None:
                 raise ValueError("ambient dimension required for an empty span")
-            return cls(ambient, Matrix([], ncols=ambient))
+            return cls.zero(ambient)
         amb = len(vectors[0])
         if ambient is not None and ambient != amb:
             raise ValueError("ambient dimension mismatch")
         if any(len(v) != amb for v in vectors):
             raise ValueError("vectors of unequal length")
-        r, rank = rref(Matrix(vectors, ncols=amb))
-        return cls(amb, Matrix(r.rows[:rank], ncols=amb))
+        acc = RrefAccumulator(amb)
+        for v in vectors:
+            acc.add(v)
+        return cls(acc)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix([], ncols=ambient))
+        return cls(RrefAccumulator(ambient))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix.identity(ambient))
+        return cls.from_vectors(Matrix.identity(ambient).rows, ambient)
 
     @property
     def dim(self) -> int:
         return self.mat.nrows
 
-    def basis(self) -> list:
-        return self.mat.copy_rows()
+    def _check(self, vec: Vector) -> None:
+        if len(vec) != self.ambient:
+            raise ValueError("ambient dimension mismatch")
 
     def reduce(self, vec: Vector) -> Vector:
         """Residue of vec after elimination against the stored basis."""
-        if len(vec) != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        v = list(vec)
-        for row in self.mat.rows:
-            p = next(j for j in range(self.ambient) if not row[j].is_zero())
-            if not v[p].is_zero():
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+        self._check(vec)
+        v = [ZERO] * self.ambient
+        for c, x in self.acc.reduce(vec).items():
+            v[c] = x
         return v
 
     def contains(self, vec: Vector) -> bool:
-        return all(x.is_zero() for x in self.reduce(vec))
+        self._check(vec)
+        return self.acc.contains(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.mat.rows)
@@ -196,21 +264,7 @@ def span(vectors: Sequence[Vector], ambient: int | None = None) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} as a canonical subspace of Q(i)^ncols."""
-    r, rank = rref(m)
-    pivots = _pivot_cols(r.rows[:rank], m.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * m.ncols
-        v[free] = ONE
-        for row_idx, pcol in enumerate(pivots):
-            coeff = r.rows[row_idx][free]
-            if not coeff.is_zero():
-                v[pcol] = -coeff
-        basis.append(v)
-    return Subspace.from_vectors(basis, ambient=m.ncols)
+    return kernel_of_sparse_rows(m.rows, m.ncols)
 
 
 def subspace_rel(a: Subspace, b: Subspace) -> str:
@@ -233,124 +287,28 @@ def invert(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("not square")
     n = m.nrows
-    aug = Matrix([list(m.rows[i]) + [ONE if j == i else ZERO for j in range(n)]
-                  for i in range(n)], ncols=2 * n)
-    r, rank = rref(aug)
-    if rank < n or any(r.rows[i][i] != ONE for i in range(n)):
+    acc = RrefAccumulator(2 * n)
+    for i, row in enumerate(m.rows):
+        aug = _sparse(row)
+        aug[n + i] = ONE
+        acc.add(aug)
+    if any(p >= n for p in acc.pivots):
         raise ValueError("singular matrix")
-    return Matrix([row[n:] for row in r.rows[:n]], ncols=n)
+    return Matrix([row[n:] for row in acc.rows()], ncols=n)
 
 
-class RrefAccumulator:
-    """Incremental RREF builder: vectors are inserted one at a time.
+def sparse_kernel_basis(rows: Iterable, ncols: int) -> list:
+    """Null space basis of a system of {column: coeff} or dense rows.
 
-    Keeps the invariant that stored rows form an RREF basis, which makes
-    repeated span extension (series computations) cheap.
+    One vector per free column of the system's RREF, not row reduced; used
+    where a dense matrix would be wastefully big.
     """
-
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list = []
-        self.pivots: list = []
-
-    def add(self, vec: Vector) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        pivot = None
-        for j in range(self.ambient):
-            if not v[j].is_zero():
-                pivot = j
-                break
-        if pivot is None:
-            return False
-        inv = v[pivot].inverse()
-        v = [x * inv for x in v]
-        for idx, row in enumerate(self.rows):
-            if not row[pivot].is_zero():
-                f = row[pivot]
-                self.rows[idx] = [a - f * b for a, b in zip(row, v)]
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pivot:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, pivot)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, vec: Vector) -> bool:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x.is_zero() for x in v)
-
-    def to_subspace(self) -> Subspace:
-        return Subspace(self.ambient, Matrix(self.rows, ncols=self.ambient))
-
-
-def sparse_kernel_basis(rows: Iterable[dict], ncols: int) -> list:
-    """Raw null space basis of a sparse system given as {column: coeff} rows.
-
-    Forward-eliminates each incoming row against the current pivot rows, then
-    back-substitutes once at the end; used where a dense matrix would be
-    wastefully big.  One basis vector per free column, not row reduced.
-    """
-    pivots: dict = {}
+    acc = RrefAccumulator(ncols)
     for row in rows:
-        r = dict(row)
-        while r:
-            c = min(r)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = r[c].inverse()
-                pivots[c] = {cc: vv * inv for cc, vv in r.items()}
-                break
-            f = r.pop(c)
-            for cc, vv in prow.items():
-                if cc == c:
-                    continue
-                nv = r.get(cc, ZERO) - f * vv
-                if nv.is_zero():
-                    r.pop(cc, None)
-                else:
-                    r[cc] = nv
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for c2 in [cc for cc in row if cc != c and cc in pivots]:
-            f = row.pop(c2)
-            for cc, vv in pivots[c2].items():
-                if cc == c2:
-                    continue
-                nv = row.get(cc, ZERO) - f * vv
-                if nv.is_zero():
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for pcol, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff is not None:
-                v[pcol] = -coeff
-        basis.append(v)
-    return basis
+        acc.add(row)
+    return acc.kernel_basis()
 
 
-def kernel_of_sparse_rows(rows: Iterable[dict], ncols: int) -> Subspace:
+def kernel_of_sparse_rows(rows: Iterable, ncols: int) -> Subspace:
     """Null space of a sparse {column: coeff} system as a canonical Subspace."""
     return Subspace.from_vectors(sparse_kernel_basis(rows, ncols), ambient=ncols)

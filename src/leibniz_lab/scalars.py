@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -80,12 +80,21 @@ class Scalar:
 
     # text form: "p/q", "p/q+r/s*i", "p/q-r/s*i"; unit denominators omitted,
     # a lone imaginary unit prints as "i"
-    _RE_REAL = re.compile(r"^([+-]?\d+(?:/\d+)?)$")
-    _RE_IMAG = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$")
-    _RE_BOTH = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-])(?:(\d+(?:/\d+)?)\*)?i$")
+    _RE_REAL = re.compile(r"^([+-]?\d+(?:/\d+)?)$", re.ASCII)
+    _RE_IMAG = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
+    _RE_BOTH = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-])(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
+        if not isinstance(text, str):
+            raise ValueError(f"scalar must be given as text, got {text!r}")
+        try:
+            return cls._parse(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+    @classmethod
+    def _parse(cls, text: str) -> "Scalar":
         s = text.strip().replace(" ", "")
         m = cls._RE_REAL.match(s)
         if m:
@@ -334,7 +343,3 @@ class Poly:
 
 POLY_ZERO = Poly.zero()
 POLY_ONE = Poly.const(1)
-
-
-def poly_vars(names: Iterable[str]) -> list:
-    return [Poly.var(n) for n in names]

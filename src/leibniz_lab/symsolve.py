@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, Subspace, kernel_of_sparse_rows, rref
+from .linalg import Matrix, RrefAccumulator, Subspace, kernel_of_sparse_rows
 from .scalars import ONE, ZERO, Poly, Scalar
 
 
@@ -34,54 +34,49 @@ def linear_parts(p: Poly, variables: Sequence[str]):
 
 
 class LinearSpan:
-    """Canonical span of homogeneous linear forms in named indeterminates."""
+    """Canonical span of homogeneous linear forms in named indeterminates.
 
-    __slots__ = ("variables", "sub")
+    The eliminator's columns are the indeterminate names, so the basis is the
+    unique RREF with columns in name order.
+    """
+
+    __slots__ = ("acc",)
 
     def __init__(self, forms: Iterable[Poly]):
-        forms = [f for f in forms if not f.is_zero()]
-        names = set()
+        self.acc = RrefAccumulator()
         for f in forms:
+            if f.is_zero():
+                continue
             if f.degree() != 1 or not f.constant_term().is_zero():
                 raise ValueError(f"{f} is not a homogeneous linear form")
-            names |= f.indeterminates()
-        self.variables = tuple(sorted(names))
-        vectors = [linear_parts(f, self.variables)[0] for f in forms]
-        self.sub = Subspace.from_vectors(vectors, ambient=len(self.variables))
+            self.acc.add({mon[0][0]: c for mon, c in f.terms.items()})
 
     @property
     def dim(self) -> int:
-        return self.sub.dim
+        return self.acc.dim
 
     def contains(self, form: Poly) -> bool:
         if form.is_zero():
             return True
         if form.degree() != 1 or not form.constant_term().is_zero():
             return False
-        if not form.indeterminates() <= set(self.variables):
-            return False
-        row, _ = linear_parts(form, self.variables)
-        return self.sub.contains(row)
+        return self.acc.contains({mon[0][0]: c for mon, c in form.terms.items()})
 
     def basis_forms(self) -> list:
         out = []
-        for row in self.sub.mat.rows:
-            p = Poly.zero()
-            for v, c in zip(self.variables, row):
-                if not c.is_zero():
-                    p = p + Poly.var(v).scale(c)
-            out.append(p)
+        for lead, row in sorted(self.acc.pivots.items()):
+            terms = {((lead, 1),): ONE}
+            terms.update({((v, 1),): c for v, c in row.items()})
+            out.append(Poly(terms))
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearSpan):
             return NotImplemented
-        mine = self.basis_forms()
-        theirs = other.basis_forms()
-        return all(other.contains(f) for f in mine) and all(self.contains(f) for f in theirs)
+        return self.acc.pivots == other.acc.pivots
 
     def __repr__(self) -> str:
-        return f"LinearSpan(dim={self.dim}, nvars={len(self.variables)})"
+        return f"LinearSpan(dim={self.dim})"
 
 
 def linear_span(forms: Iterable[Poly]) -> LinearSpan:
@@ -89,17 +84,21 @@ def linear_span(forms: Iterable[Poly]) -> LinearSpan:
 
 
 def affine_solve(m: Matrix, rhs: Sequence[Scalar]) -> list:
-    """One exact solution of m x = rhs; raises ValueError when inconsistent."""
+    """One exact solution of m x = rhs; raises ValueError when inconsistent.
+
+    The right-hand side is the last column: the system is inconsistent
+    exactly when that column carries a pivot.
+    """
     if m.nrows != len(rhs):
         raise ValueError("right-hand side length mismatch")
-    aug = Matrix([list(row) + [rhs[k]] for k, row in enumerate(m.rows)], ncols=m.ncols + 1)
-    red, rank = rref(aug)
+    acc = RrefAccumulator(m.ncols + 1)
+    for row, b in zip(m.rows, rhs):
+        acc.add(list(row) + [b])
+    if m.ncols in acc.pivots:
+        raise ValueError("inconsistent linear system")
     x = [ZERO] * m.ncols
-    for r in range(rank):
-        lead = next(c for c in range(m.ncols + 1) if not red.rows[r][c].is_zero())
-        if lead == m.ncols:
-            raise ValueError("inconsistent linear system")
-        x[lead] = red.rows[r][m.ncols]
+    for p, row in acc.pivots.items():
+        x[p] = row.get(m.ncols, ZERO)
     return x
 
 
@@ -143,7 +142,6 @@ def solution_point(polys: Iterable[Poly], variables: Sequence[str],
     """A random exact point in the common zero set of linear equations."""
     pos = {v: k for k, v in enumerate(variables)}
     rows = []
-    seen = set()
     for p in polys:
         sparse = {}
         for mon, coeff in p.terms.items():
@@ -153,14 +151,6 @@ def solution_point(polys: Iterable[Poly], variables: Sequence[str],
             if name not in pos:
                 raise ValueError(f"{p} uses an indeterminate outside the given list: {name}")
             sparse[pos[name]] = coeff
-        if not sparse:
-            continue
-        lead = min(sparse)
-        inv = sparse[lead].inverse()
-        key = tuple(sorted((k, c * inv) for k, c in sparse.items()))
-        if key in seen:
-            continue
-        seen.add(key)
         rows.append(sparse)
     ker = kernel_of_sparse_rows(rows, len(variables))
     vec = random_member(ker, rng)

@@ -205,10 +205,7 @@ def nil_independent_count(diags) -> int:
     diagonal vanishes, so this rank is the size of a largest subset with no
     nilpotent nontrivial combination.
     """
-    diags = [list(v) for v in diags]
-    if not diags:
-        return 0
-    acc = RrefAccumulator(len(diags[0]))
+    acc = RrefAccumulator()
     for v in diags:
         acc.add(v)
     return acc.dim

@@ -131,6 +131,18 @@ def test_nilpotent_and_solvable():
     assert checks.signature == ((6, 3, 1, 0), (6, 3, 0))
 
 
+def test_table_checks_agree_with_the_single_analyses():
+    nonskew = StructureTable(2, ["e", "z"], {(0, 0): {1: ONE}})
+    entries = dict(T4.c)
+    entries[(0, 1)] = {3: sc(2)}
+    broken = StructureTable(6, T4.labels, entries)
+    for table in (T4, triangular(5), nonskew, broken):
+        assert TableChecks.of(table) == TableChecks(
+            leibniz=is_leibniz(table), lie=is_lie(table),
+            nilpotent=is_nilpotent(table), solvable=is_solvable(table),
+            signature=series_signature(table))
+
+
 def test_series_dims_decrease():
     lc = [s.dim for s in lower_central_series(T4)]
     dv = [s.dim for s in derived_series(T4)]
@@ -228,6 +240,13 @@ def test_loads_rejects_malformed_documents():
     renamed["brackets"][0]["left"] = "N99"
     with pytest.raises(ValueError):
         table_from_document(renamed)
+    for value in (5, [5], ["coef"], [{"coef": 1, "basis": "a"}]):
+        with pytest.raises(ValueError):
+            table_from_document({"dim": 1, "labels": ["a"], "brackets": [
+                {"left": "a", "right": "a", "value": value}]})
+    for record in (5, "left"):
+        with pytest.raises(ValueError):
+            table_from_document({"dim": 1, "labels": ["a"], "brackets": [record]})
 
 
 def test_table_constructor_validations():
@@ -244,18 +263,3 @@ def test_table_constructor_validations():
 def test_unknown_label_lookup():
     with pytest.raises(ValueError):
         T4.index("N77")
-
-
-# -- threading ---------------------------------------------------------------
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("LEIBNIZ_LAB_THREADS", "3")
-    seq = leibniz_residues(triangular(5), threads=1)
-    par = leibniz_residues(triangular(5))
-    assert seq == par
-    monkeypatch.setenv("LEIBNIZ_LAB_THREADS", "oops")
-    with pytest.raises(ValueError):
-        leibniz_residues(triangular(5))
-    monkeypatch.setenv("LEIBNIZ_LAB_THREADS", "-1")
-    with pytest.raises(ValueError):
-        leibniz_residues(triangular(5))

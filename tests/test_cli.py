@@ -233,6 +233,37 @@ def test_canonical_requires_valid_residual_params(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+# -- bad input ---------------------------------------------------------------
+
+BAD_INPUTS = {
+    "zero denominator": (["extend", "--n", "4", "--f", "1", "--params", "{params}"],
+                         "a1_12_12 = 1/0\n"),
+    "non-ascii digit": (["extend", "--n", "4", "--f", "1", "--params", "{params}"],
+                        "a1_12_12 = \u0663\n"),
+    "record not an object": (["check", "{algebra}"],
+                             json.dumps({"dim": 1, "labels": ["a"], "brackets": [5]})),
+    "term not an object": (["check", "{algebra}"],
+                           json.dumps({"dim": 1, "labels": ["a"], "brackets": [
+                               {"left": "a", "right": "a", "value": ["x"]}]})),
+    "negative samples": (["verify", "--theorem", "3.4", "--n", "4", "--samples", "-5"], ""),
+    "zero samples": (["verify", "--theorem", "3.4", "--n", "4", "--samples", "0"], ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_json_object(case, tmp_path, capsys):
+    argv, text = BAD_INPUTS[case]
+    params = write(tmp_path / "in.params", text)
+    algebra = write(tmp_path / "in.json", text)
+    argv = [a.format(params=params, algebra=algebra) for a in argv]
+    assert main(argv + ["--format", "structured"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert isinstance(doc, dict)
+    assert doc["exit_code"] == 2
+    assert doc["command"] == argv[0]
+    assert "error" in doc["verdicts"]
+
+
 # -- main --------------------------------------------------------------------
 
 def test_main_exit_codes(tmp_path, capsys):

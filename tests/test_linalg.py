@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leibniz_lab.linalg import (Matrix, RrefAccumulator, Subspace, invert,
                                 kernel, kernel_of_sparse_rows, rref, span,
@@ -153,3 +153,79 @@ def test_sparse_kernel_basis_raw_form():
 
 def test_sparse_kernel_no_equations_is_full():
     assert kernel_of_sparse_rows([], 3) == Subspace.full(3)
+
+
+# -- the eliminator against oracles that do not use it ------------------------
+
+gaussian_entries = st.builds(Scalar, small_entries, st.sampled_from([0, 0, 0, 1, -2]))
+
+
+def gaussian_matrices(nrows, ncols):
+    return st.lists(st.lists(gaussian_entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(lambda rows: Matrix(rows, ncols=ncols))
+
+
+def shapes(max_rows=4, max_cols=5):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+
+
+def det(rows):
+    """Laplace expansion along the first row; fine at these sizes."""
+    if not rows:
+        return ONE
+    total = ZERO
+    for j, x in enumerate(rows[0]):
+        if not x.is_zero():
+            term = x * det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def is_rref(rows):
+    """Leading ones move strictly right, their columns are otherwise zero,
+    and zero rows come last."""
+    leads = []
+    for row in rows:
+        nonzero = [j for j, x in enumerate(row) if not x.is_zero()]
+        if not nonzero:
+            leads.append(None)
+            continue
+        lead = nonzero[0]
+        if row[lead] != ONE or (leads and (leads[-1] is None or leads[-1] >= lead)):
+            return False
+        leads.append(lead)
+    return all(rows[r][lead].is_zero() for lead in leads if lead is not None
+               for r in range(len(rows)) if leads[r] != lead)
+
+
+@settings(max_examples=60)
+@given(shapes().flatmap(lambda s: st.tuples(gaussian_matrices(*s),
+                                            gaussian_matrices(s[0], s[0]))))
+def test_rref_is_a_row_invariant_in_echelon_shape(pair):
+    m, p = pair
+    assume(not det(p.rows).is_zero())
+    r, rank = rref(m)
+    assert is_rref(r.rows)
+    assert rank == sum(1 for row in r.rows if any(not x.is_zero() for x in row))
+    assert rref(p * m) == (r, rank)
+
+
+@settings(max_examples=60)
+@given(shapes().flatmap(lambda s: gaussian_matrices(*s)))
+def test_kernel_vectors_are_annihilated_and_rank_plus_nullity_is_ncols(m):
+    _, rank = rref(m)
+    sparse_rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in m.rows]
+    basis = sparse_kernel_basis(sparse_rows, m.ncols)
+    for v in basis + kernel(m).mat.rows:
+        assert all(x.is_zero() for x in m.apply(v))
+    assert rank + len(basis) == rank + kernel(m).dim == m.ncols
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda n: gaussian_matrices(n, n)))
+def test_invert_exactly_when_the_determinant_is_nonzero(m):
+    if det(m.rows).is_zero():
+        with pytest.raises(ValueError):
+            invert(m)
+    else:
+        assert invert(m) * m == Matrix.identity(m.nrows)

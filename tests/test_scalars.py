@@ -36,7 +36,8 @@ def test_text_round_trip_exact():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1+", "i*2", "1//2", "2i", "1 + 2"):
+    for bad in ("", "x", "1+", "i*2", "1//2", "2i", "1 + 2",
+                "1/0", "2/0*i", "1+3/0*i", "\u0663", "\u0661/\u0662", "1+\u0662*i", 3):
         with pytest.raises(ValueError):
             Scalar.parse(bad)
 
