@@ -422,10 +422,13 @@ def table_from_document(doc: Mapping) -> StructureTable:
     for field in ("dim", "labels", "brackets"):
         if field not in doc:
             raise ValueError(f"algebra document is missing field {field!r}")
-    dim = doc["dim"]
-    labels = list(doc["labels"])
-    if not isinstance(dim, int):
+    dim, labels = doc["dim"], doc["labels"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError("field 'dim' must be an integer")
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ValueError("field 'labels' must be a list of strings")
+    if not isinstance(doc["brackets"], list):
+        raise ValueError("field 'brackets' must be a list of records")
     index = {lab: k for k, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise ValueError("field 'labels' contains duplicates")

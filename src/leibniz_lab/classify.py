@@ -1,10 +1,12 @@
 """Classification of the 7-dimensional non-skew extension family.
 
-One outer generator over the n = 4 triangular algebra, with zero total
-diagonal trace baked in: the nine surviving parameters satisfy three product
-restrictions, and every non-skew member is carried by an exact basis change
-onto one of three canonical tables (L1, L2, L3).  L42 is the companion
-8-dimensional family with two outer generators.
+L41 is the reduced (4, 1) extension family of `extensions`, one outer
+generator over the n = 4 triangular algebra, read in its own parameter names
+with zero total diagonal trace baked in: the nine surviving parameters
+satisfy three product restrictions, and every non-skew member is carried by
+an exact basis change onto one of three canonical tables (L1, L2, L3), which
+are themselves L41 points.  L42 is the companion 8-dimensional family with
+two outer generators, a point of the reduced (4, 2) family.
 
 Basis order everywhere: N12, N23, N34, N13, N24, N14, then the generators.
 """
@@ -12,15 +14,18 @@ Basis order everywhere: N12, N23, N34, N13, N24, N14, then the generators.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .algebra import BasisChange, StructureTable, change_of_basis, is_lie, right_annihilator, series_signature
+from .extensions import ExtensionSpec, reduced_extension, stated_restrictions
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar
 from .symsolve import random_nonzero_scalar, random_scalar
-from .triangular import triangular
+# unused here; perfbench/selftest.py checks that tracing reaches this copy
+from .triangular import triangular  # noqa: F401
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -33,6 +38,16 @@ L3_PARAM_NAMES = ("a_23_23",)
 L42_PARAM_NAMES = ("s11", "s12", "s21", "s22")
 
 N12, N23, N34, N13, N24, N14 = range(6)
+
+# Each L41 parameter's name in the reduced (4, 1) family: a_ij_kl -> a1_ij_kl,
+# b_ij_kl -> b1_ij_kl, s_14 -> s11.  The family's third diagonal entry is
+# a1_34_34 = -(a_12_12 + a_23_23).
+FAMILY_NAMES = {name: "s11" if name == "s_14" else f"{name[0]}1{name[1:]}"
+                for name in L41_PARAM_NAMES}
+# The map read backwards, to word restrictions in L41 names; the sign of
+# a1_34_34 does not change which products vanish.
+_L41_TEXT = {family: name for name, family in FAMILY_NAMES.items()}
+_L41_TEXT["a1_34_34"] = "(a_12_12 + a_23_23)"
 
 
 @dataclass(frozen=True)
@@ -59,13 +74,17 @@ class L41Params:
     def as_mapping(self) -> dict:
         return {name: getattr(self, name) for name in L41_PARAM_NAMES}
 
+    def family_point(self) -> dict:
+        """This point in the names of the reduced (4, 1) extension family."""
+        point = {FAMILY_NAMES[name]: v for name, v in self.as_mapping().items()}
+        point["a1_34_34"] = -(self.a_12_12 + self.a_23_23)
+        return point
+
     def restriction_violation(self) -> Optional[str]:
-        if not (self.a_12_12 * self.b_12_14).is_zero():
-            return "a_12_12 * b_12_14"
-        if not (self.a_23_23 * (self.a_23_14 + self.b_23_14)).is_zero():
-            return "a_23_23 * (a_23_14 + b_23_14)"
-        if not ((self.a_12_12 + self.a_23_23) * self.b_34_14).is_zero():
-            return "(a_12_12 + a_23_23) * b_34_14"
+        point = self.family_point()
+        for desc, prod in stated_restrictions(4, 1):
+            if not prod.evaluate(point).is_zero():
+                return re.sub(r"\w+", lambda m: _L41_TEXT[m.group()], desc)
         return None
 
     def validate(self) -> None:
@@ -80,23 +99,7 @@ class L41Params:
 def build_L41(p: L41Params) -> StructureTable:
     """Concrete 7-dimensional table for a valid parameter point."""
     p.validate()
-    d1, d2 = p.a_12_12, p.a_23_23
-    d3 = -(d1 + d2)
-    x = 6
-    entries: dict = dict(triangular(4).c)
-    entries[(N12, x)] = {N12: d1, N24: p.a_12_24}
-    entries[(x, N12)] = {N12: -d1, N24: -p.a_12_24, N14: p.b_12_14}
-    entries[(N23, x)] = {N23: d2, N14: p.a_23_14}
-    entries[(x, N23)] = {N23: -d2, N14: p.b_23_14}
-    entries[(N34, x)] = {N34: d3, N13: p.a_34_13}
-    entries[(x, N34)] = {N34: -d3, N13: -p.a_34_13, N14: p.b_34_14}
-    entries[(N13, x)] = {N13: d1 + d2}
-    entries[(x, N13)] = {N13: -(d1 + d2)}
-    entries[(N24, x)] = {N24: d2 + d3}
-    entries[(x, N24)] = {N24: -(d2 + d3)}
-    entries[(x, x)] = {N14: p.s_14}
-    labels = list(triangular(4).labels) + ["X"]
-    return StructureTable(7, labels, entries)
+    return reduced_extension(4, 1).to_scalar(p.family_point())
 
 
 @dataclass(frozen=True)
@@ -136,51 +139,20 @@ class CanonicalForm:
 
 
 def build_canonical(form: CanonicalForm) -> StructureTable:
+    """The canonical table: L42 a (4, 2) family point, the rest L41 points."""
     form.validate()
-    labels4 = list(triangular(4).labels)
-    entries: dict = dict(triangular(4).c)
     if form.id == "L42":
-        x1, x2 = 6, 7
-        for x, diag in ((x1, (ONE, ZERO, -ONE)), (x2, (ZERO, ONE, -ONE))):
-            d1, d2, d3 = diag
-            for row, val in ((N12, d1), (N23, d2), (N34, d3),
-                             (N13, d1 + d2), (N24, d2 + d3), (N14, ZERO)):
-                entries[(row, x)] = {row: val}
-                entries[(x, row)] = {row: -val}
-        entries[(x1, x1)] = {N14: form.param("s11")}
-        entries[(x1, x2)] = {N14: form.param("s12")}
-        entries[(x2, x1)] = {N14: form.param("s21")}
-        entries[(x2, x2)] = {N14: form.param("s22")}
-        return StructureTable(8, labels4 + ["X1", "X2"], entries)
-
-    x = 6
+        # generator diagonals (1, 0, -1) and (0, 1, -1)
+        params = {"a1_12_12": ONE, "a1_34_34": -ONE, "a2_23_23": ONE,
+                  "a2_34_34": -ONE, **form.params}
+        return reduced_extension(4, 2).to_scalar(ExtensionSpec(4, 2, params).assignment())
     if form.id == "L1":
-        diag = (ZERO, ONE, -ONE)
-        extras_right = {N12: {N24: form.param("a_12_24")}}
-        extras_left = {N12: {N24: -form.param("a_12_24"), N14: form.param("b_12_14")}}
-        square = form.param("s_14")
+        point = L41Params(a_23_23=ONE, **form.params)
     elif form.id == "L2":
-        diag = (ONE, ZERO, -ONE)
-        extras_right = {N23: {N14: form.param("a_23_14")}}
-        extras_left = {N23: {N14: form.param("b_23_14")}}
-        square = form.param("s_14")
+        point = L41Params(a_12_12=ONE, **form.params)
     else:
-        a = form.param("a_23_23")
-        diag = (ONE, a, -(ONE + a))
-        extras_right = {}
-        extras_left = {}
-        square = ONE
-    d1, d2, d3 = diag
-    for row, val in ((N12, d1), (N23, d2), (N34, d3),
-                     (N13, d1 + d2), (N24, d2 + d3), (N14, ZERO)):
-        right = {row: val}
-        right.update(extras_right.get(row, {}))
-        left = {row: -val}
-        left.update(extras_left.get(row, {}))
-        entries[(row, x)] = right
-        entries[(x, row)] = left
-    entries[(x, x)] = {N14: square}
-    return StructureTable(7, labels4 + ["X"], entries)
+        point = L41Params(a_12_12=ONE, s_14=ONE, **form.params)
+    return reduced_extension(4, 1).to_scalar(point.family_point())
 
 
 @dataclass(frozen=True)
@@ -200,7 +172,6 @@ def classify_L41(p: L41Params) -> Classification:
     transporting the input table along it reproduces the canonical table
     exactly; that equality is checked before returning.
     """
-    p.validate()
     source = build_L41(p)
     if is_lie(source):
         raise ValueError("Lie member, out of scope")

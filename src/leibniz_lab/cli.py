@@ -14,10 +14,9 @@ import sys
 from dataclasses import dataclass, field
 
 from .algebra import (TableChecks, derivation_algebra, derived_series,
-                      is_leibniz, load_table, lower_central_series, save_table,
-                      dumps_table, table_to_document)
-from .classify import (CanonicalForm, L41Params, build_canonical, build_L41,
-                       classify_L41)
+                      load_table, lower_central_series, save_table, dumps_table,
+                      table_to_document)
+from .classify import CanonicalForm, L41Params, build_canonical, classify_L41
 from .extensions import (ExtensionSpec, build_extension, derive_relations,
                          verify_corner_annihilation, verify_max_extension_is_lie)
 from .scalars import Scalar

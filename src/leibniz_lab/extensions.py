@@ -23,8 +23,7 @@ from .scalars import ONE, ZERO, Poly, Scalar
 from .symsolve import (LinearSpan, poly_combination, random_combination,
                        random_scalar, solution_point)
 from .triangular import (allowed_offdiagonal, corner_index, generator_label,
-                         nil_independent_count, pair_index, pair_label, pairs,
-                         triangular)
+                         nil_independent_count, pair_index, pairs, triangular)
 
 MAX_SYMBOLIC_N = 8
 
@@ -206,20 +205,26 @@ def solve_linear_forms(forms: Sequence[Poly]) -> dict:
             for (_, lead), row in sorted(acc.pivots.items())}
 
 
-def stated_quadratics(n: int, f: int) -> tuple:
-    """The parameter products the source family is restricted by, per generator."""
+@lru_cache(maxsize=None)
+def restriction_factors(n: int, f: int) -> tuple:
+    """(weight, corner form) pairs whose products the family must zero.
+
+    Generator by generator, each superdiagonal weight d_i = a_(i,i+1)_(i,i+1)
+    of the right action must annihilate the N_1n coefficient left free on its
+    row: b_12_1n for i = 1, b_(n-1,n)_1n for i = n - 1, and
+    a_(i,i+1)_1n + b_(i,i+1)_1n in between.  The corner forms vanish together
+    exactly when the left action on superdiagonal rows is minus the right one.
+    """
     _check_rank(n, f)
+    corner = (1, n)
     out = []
     for al in range(1, f + 1):
-        d1 = Poly.var(a_name(n, al, (1, 2), (1, 2)))
-        out.append(d1 * Poly.var(b_name(n, al, (1, 2), (1, n))))
-        for i in range(2, n - 1):
-            di = Poly.var(a_name(n, al, (i, i + 1), (i, i + 1)))
-            mid = Poly.var(a_name(n, al, (i, i + 1), (1, n))) \
-                + Poly.var(b_name(n, al, (i, i + 1), (1, n)))
-            out.append(di * mid)
-        dl = Poly.var(a_name(n, al, (n - 1, n), (n - 1, n)))
-        out.append(dl * Poly.var(b_name(n, al, (n - 1, n), (1, n))))
+        for i in range(1, n):
+            row = (i, i + 1)
+            form = Poly.var(b_name(n, al, row, corner))
+            if 1 < i < n - 1:
+                form = Poly.var(a_name(n, al, row, corner)) + form
+            out.append((Poly.var(a_name(n, al, row, row)), form))
     return tuple(out)
 
 
@@ -330,7 +335,8 @@ def derive_relations(n: int, f: int, seed: int = 0,
             leftovers_low.append(p)
     quadratics = _dedupe_monic(quadratics)
 
-    stated = stated_quadratics(n, f)
+    factors = restriction_factors(n, f)
+    stated = tuple(weight * form for weight, form in factors)
     flat = _tracefree_substitution(n, f)
     stated_flat = [q.substitute(flat) for q in stated]
     residual_flat = _dedupe_monic(q.substitute(flat) for q in quadratics)
@@ -350,19 +356,7 @@ def derive_relations(n: int, f: int, seed: int = 0,
     points = 0
     sampling_ok = True
     if variables:
-        factor_pairs = []
-        for al in range(1, f + 1):
-            d_of = lambda i, a=al: Poly.var(a_name(n, a, (i, i + 1), (i, i + 1)))
-            first = [d_of(1), Poly.var(b_name(n, al, (1, 2), (1, n)))]
-            factor_pairs.append(first)
-            for i in range(2, n - 1):
-                mid = Poly.var(a_name(n, al, (i, i + 1), (1, n))) \
-                    + Poly.var(b_name(n, al, (i, i + 1), (1, n)))
-                factor_pairs.append([d_of(i), mid])
-            trace_head = Poly.zero()
-            for p in range(1, n - 1):
-                trace_head = trace_head + d_of(p)
-            factor_pairs.append([trace_head, Poly.var(b_name(n, al, (n - 1, n), (1, n)))])
+        factor_pairs = [(weight.substitute(flat), form) for weight, form in factors]
         for _ in range(sample_points):
             chosen = [rng.choice(pair) for pair in factor_pairs]
             chosen = [c for c in chosen if c.indeterminates() <= set(variables)]
@@ -449,6 +443,7 @@ def diagonal_names(n: int, f: int, alpha: int) -> tuple:
     return tuple(a_name(n, alpha, (i, i + 1), (i, i + 1)) for i in range(1, n))
 
 
+@lru_cache(maxsize=None)
 def master_param_names(n: int, f: int) -> tuple:
     """Every indeterminate of the reduced family, in a stable order."""
     _check_rank(n, f)
@@ -471,22 +466,25 @@ def master_param_names(n: int, f: int) -> tuple:
 
 def stated_restrictions(n: int, f: int) -> tuple:
     """(description, product) pairs that valid parameter points must zero."""
-    _check_rank(n, f)
     out = []
-    for al in range(1, f + 1):
-        d1 = a_name(n, al, (1, 2), (1, 2))
-        c = b_name(n, al, (1, 2), (1, n))
-        out.append((f"{d1} * {c}", Poly.var(d1) * Poly.var(c)))
-        for i in range(2, n - 1):
-            di = a_name(n, al, (i, i + 1), (i, i + 1))
-            gi = a_name(n, al, (i, i + 1), (1, n))
-            bi = b_name(n, al, (i, i + 1), (1, n))
-            prod = Poly.var(di) * (Poly.var(gi) + Poly.var(bi))
-            out.append((f"{di} * ({gi} + {bi})", prod))
-        dl = a_name(n, al, (n - 1, n), (n - 1, n))
-        b3 = b_name(n, al, (n - 1, n), (1, n))
-        out.append((f"{dl} * {b3}", Poly.var(dl) * Poly.var(b3)))
+    for weight, form in restriction_factors(n, f):
+        text = f"({form})" if len(form.terms) > 1 else str(form)
+        out.append((f"{weight} * {text}", weight * form))
     return tuple(out)
+
+
+def skew_forms(n: int, f: int) -> tuple:
+    """Linear forms whose common zeros are the skew members of the family.
+
+    The corner forms of `restriction_factors`, then s_aa and s_ab + s_ba for
+    every pair of generators a < b.
+    """
+    forms = [form for _, form in restriction_factors(n, f)]
+    for al in range(1, f + 1):
+        forms.append(Poly.var(sigma_param(al, al)))
+        for be in range(al + 1, f + 1):
+            forms.append(Poly.var(sigma_param(al, be)) + Poly.var(sigma_param(be, al)))
+    return tuple(forms)
 
 
 @dataclass(frozen=True)
@@ -680,25 +678,7 @@ def _draw_diagonals(n: int, f: int, rng: random.Random,
 
 
 def _params_are_skew(n: int, f: int, params: Mapping[str, Scalar]) -> bool:
-    def val(name):
-        return params.get(name, ZERO)
-
-    for al in range(1, f + 1):
-        if not val(b_name(n, al, (1, 2), (1, n))).is_zero():
-            return False
-        for i in range(2, n - 1):
-            s = val(a_name(n, al, (i, i + 1), (1, n))) \
-                + val(b_name(n, al, (i, i + 1), (1, n)))
-            if not s.is_zero():
-                return False
-        if not val(b_name(n, al, (n - 1, n), (1, n))).is_zero():
-            return False
-    for al in range(1, f + 1):
-        for be in range(al, f + 1):
-            s = val(sigma_param(al, be)) + val(sigma_param(be, al))
-            if not s.is_zero():
-                return False
-    return True
+    return all(form.evaluate(params).is_zero() for form in skew_forms(n, f))
 
 
 def sample_extension_specs(n: int, f: int, count: int, seed: int = 0,
@@ -789,21 +769,7 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
     subbed = [p.substitute(lead) for p in base_polys]
     span = LinearSpan(linear_forms_in_span(p for p in subbed if not p.is_zero()))
 
-    wanted = []
-    for al in range(1, f + 1):
-        wanted.append(Poly.var(b_name(n, al, (1, 2), (1, n))))
-        for i in range(2, n - 1):
-            wanted.append(Poly.var(a_name(n, al, (i, i + 1), (1, n)))
-                          + Poly.var(b_name(n, al, (i, i + 1), (1, n))))
-        wanted.append(Poly.var(b_name(n, al, (n - 1, n), (1, n))))
-    for al in range(1, f + 1):
-        for be in range(al, f + 1):
-            if al == be:
-                wanted.append(Poly.var(sigma_param(al, al)))
-            else:
-                wanted.append(Poly.var(sigma_param(al, be))
-                              + Poly.var(sigma_param(be, al)))
-    missing = tuple(w for w in wanted if not span.contains(w))
+    missing = tuple(w for w in skew_forms(n, f) if not span.contains(w))
 
     rng = random.Random(seed)
     reduced = reduced_extension(n, f)

@@ -121,6 +121,7 @@ def _raw(re_: Fraction, im: Fraction) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+NEG_ONE = Scalar(-1)
 I = Scalar(0, 1)
 
 
@@ -271,14 +272,19 @@ class Poly:
         """Evaluate at a point; every indeterminate must be bound."""
         total = ZERO
         for m, c in self.terms.items():
-            val = c
+            val = None
             for name, e in m:
                 if name not in assignment:
                     raise ValueError(f"{name} unbound")
                 v = assignment[name]
                 for _ in range(e):
-                    val = val * v
-            total = total + val
+                    val = v if val is None else val * v
+            # a coefficient of 1 or -1 costs no multiply, a first term no add
+            if val is None:
+                val = c
+            elif c is not ONE:
+                val = -val if c == NEG_ONE else c * val
+            total = val if total is ZERO else total + val
         return total
 
     def substitute(self, sub: Mapping[str, "Poly"]) -> "Poly":
@@ -326,7 +332,7 @@ class Poly:
                 continue
             if c == ONE:
                 parts.append(_mon_str(m))
-            elif c == Scalar(-1):
+            elif c == NEG_ONE:
                 parts.append("-" + _mon_str(m))
             elif c.im != 0:
                 parts.append(f"({c})*{_mon_str(m)}")

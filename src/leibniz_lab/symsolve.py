@@ -9,28 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import Matrix, RrefAccumulator, Subspace, kernel_of_sparse_rows
 from .scalars import ONE, ZERO, Poly, Scalar
-
-
-def linear_parts(p: Poly, variables: Sequence[str]):
-    """Coefficient row of a degree <= 1 polynomial plus its constant."""
-    pos = {v: k for k, v in enumerate(variables)}
-    row = [ZERO] * len(variables)
-    const = ZERO
-    for mon, coeff in p.terms.items():
-        if mon == ():
-            const = coeff
-            continue
-        if len(mon) != 1 or mon[0][1] != 1:
-            raise ValueError(f"{p} is not a linear form")
-        name = mon[0][0]
-        if name not in pos:
-            raise ValueError(f"{p} uses an indeterminate outside the given list: {name}")
-        row[pos[name]] = coeff
-    return row, const
 
 
 class LinearSpan:
@@ -79,10 +61,6 @@ class LinearSpan:
         return f"LinearSpan(dim={self.dim})"
 
 
-def linear_span(forms: Iterable[Poly]) -> LinearSpan:
-    return LinearSpan(forms)
-
-
 def affine_solve(m: Matrix, rhs: Sequence[Scalar]) -> list:
     """One exact solution of m x = rhs; raises ValueError when inconsistent.
 
@@ -120,23 +98,6 @@ def poly_combination(generators: Sequence[Poly], target: Poly):
         return None
 
 
-def poly_span_contains(generators: Sequence[Poly], target: Poly) -> bool:
-    return poly_combination(generators, target) is not None
-
-
-def homogeneous_system(polys: Iterable[Poly], variables: Sequence[str]) -> Matrix:
-    """Rows of coefficients for degree <= 1 polynomials with zero constant."""
-    rows = []
-    for p in polys:
-        row, const = linear_parts(p, variables)
-        if not const.is_zero():
-            raise ValueError(f"equation {p} = 0 has a nonzero constant part")
-        rows.append(row)
-    if not rows:
-        rows = [[ZERO] * len(variables)]
-    return Matrix(rows, ncols=len(variables))
-
-
 def solution_point(polys: Iterable[Poly], variables: Sequence[str],
                    rng: random.Random) -> dict:
     """A random exact point in the common zero set of linear equations."""
@@ -169,10 +130,6 @@ def random_nonzero_scalar(rng: random.Random, lo: int = -9, hi: int = 9) -> Scal
         s = random_scalar(rng, lo, hi)
         if not s.is_zero():
             return s
-
-
-def random_point(variables: Sequence[str], rng: random.Random) -> dict:
-    return {v: random_scalar(rng) for v in variables}
 
 
 def random_combination(rows: Sequence[Sequence[Scalar]], ambient: int,

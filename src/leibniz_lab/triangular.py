@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import Matrix, RrefAccumulator
-from .scalars import ONE, ZERO, Scalar
-
-NEG_ONE = -ONE
+from .scalars import NEG_ONE, ONE, ZERO
 
 
 def pairs(n: int) -> tuple:

@@ -4,14 +4,16 @@ Each test clears the library's memo caches before timing so the stated
 runtime bounds are measured cold, not against warm lookups.
 """
 
+import importlib
+import inspect
+import pkgutil
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-import leibniz_lab.extensions as extensions_mod
-import leibniz_lab.triangular as triangular_mod
+import leibniz_lab
 from leibniz_lab.algebra import (BasisChange, change_of_basis,
                                  derivation_algebra, derived_series,
                                  is_leibniz, is_lie, lower_central_series,
@@ -30,11 +32,30 @@ from leibniz_lab.triangular import (check_structure_shape, count_offdiagonal,
                                     structure_matrices, triangular)
 
 
+# by import_module: the package rebinds the name `triangular` to the function
+CACHED_MODULES = tuple(importlib.import_module(f"leibniz_lab.{name}")
+                       for name in ("triangular", "extensions"))
+
+
 def clear_caches():
-    for mod in (triangular_mod, extensions_mod):
+    for mod in CACHED_MODULES:
         for obj in vars(mod).values():
             if callable(obj) and hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+
+
+def test_clear_caches_reaches_every_memo_cache():
+    """The bounds below are measured cold only if no cache hides elsewhere."""
+    homes = {mod.__name__ for mod in CACHED_MODULES}
+    stray = []
+    for info in pkgutil.iter_modules(leibniz_lab.__path__):
+        mod = importlib.import_module(f"leibniz_lab.{info.name}")
+        for name, obj in vars(mod).items():
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for fn in (obj, *members):
+                if hasattr(fn, "cache_clear") and fn.__module__ not in homes:
+                    stray.append(f"{info.name}.{name}")
+    assert not stray
 
 
 def sampled_batch(n, count, seed):

@@ -247,6 +247,10 @@ def test_loads_rejects_malformed_documents():
     for record in (5, "left"):
         with pytest.raises(ValueError):
             table_from_document({"dim": 1, "labels": ["a"], "brackets": [record]})
+    for fields in ({"dim": True}, {"labels": "a"}, {"dim": 2, "labels": [1, 2.5]},
+                   {"labels": 5}, {"brackets": 7}):
+        with pytest.raises(ValueError):
+            table_from_document({"dim": 1, "labels": ["a"], "brackets": [], **fields})
 
 
 def test_table_constructor_validations():

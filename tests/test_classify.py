@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from leibniz_lab.algebra import (change_of_basis, is_leibniz, is_lie,
-                                 series_signature)
+from leibniz_lab.algebra import (StructureTable, change_of_basis, is_leibniz,
+                                 is_lie, series_signature)
 from leibniz_lab.classify import (CanonicalForm, L41Params, build_canonical,
                                   build_L41, classify_L41, distinguish,
                                   sample_l41_params)
@@ -67,6 +67,56 @@ def test_build_oracles():
     assert t.row(1, x) == {1: sc(1), 5: sc(3)}
     assert t.row(x, 1) == {1: sc(-1), 5: sc(-3)}
     assert is_leibniz(t)
+
+
+def reference_l41(p):
+    """The member at p, built from the paper's description alone.
+
+    [N_ij, N_kl] = d_jk N_il - d_il N_kj.  X acts on N_ij by the sum of the
+    superdiagonal weights d1, d2, d3 = -(d1 + d2) it spans, plus N12 -> N24,
+    N23 -> N14 and N34 -> N13; the left action is minus the right one except
+    for the corner terms b_*_14, and [X, X] = s_14 N14.
+    """
+    pairs = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)]
+    labels = [f"N{i}{j}" for i, j in pairs] + ["X"]
+    entries: dict = {}
+
+    def put(left, right, out, v):
+        row = entries.setdefault((labels.index(left), labels.index(right)), {})
+        row[labels.index(out)] = row.get(labels.index(out), ZERO) + v
+
+    for i, j in pairs:
+        for k, l in pairs:
+            if j == k:
+                put(f"N{i}{j}", f"N{k}{l}", f"N{i}{l}", ONE)
+            if i == l:
+                put(f"N{i}{j}", f"N{k}{l}", f"N{k}{j}", -ONE)
+        weight = sum([p.a_12_12, p.a_23_23, -(p.a_12_12 + p.a_23_23)][i - 1:j - 1], ZERO)
+        put(f"N{i}{j}", "X", f"N{i}{j}", weight)
+        put("X", f"N{i}{j}", f"N{i}{j}", -weight)
+    for row, col, v in (("N12", "N24", p.a_12_24), ("N34", "N13", p.a_34_13)):
+        put(row, "X", col, v)
+        put("X", row, col, -v)
+    put("N23", "X", "N14", p.a_23_14)
+    for row, v in (("N12", p.b_12_14), ("N23", p.b_23_14), ("N34", p.b_34_14)):
+        put("X", row, "N14", v)
+    put("X", "X", "N14", p.s_14)
+    return StructureTable(7, labels, entries)
+
+
+def test_tables_match_the_paper_description():
+    for p in sample_l41_params(40):
+        assert build_L41(p) == reference_l41(p)
+    points = [
+        (CanonicalForm("L1", {"a_12_24": sc(2), "b_12_14": sc(3), "s_14": sc(-1)}),
+         L41Params(a_23_23=ONE, a_12_24=sc(2), b_12_14=sc(3), s_14=sc(-1))),
+        (CanonicalForm("L2", {"a_23_14": sc(2), "b_23_14": frac(1, 2), "s_14": sc(5)}),
+         L41Params(a_12_12=ONE, a_23_14=sc(2), b_23_14=frac(1, 2), s_14=sc(5))),
+        (CanonicalForm("L3", {"a_23_23": frac(-2, 3)}),
+         L41Params(a_12_12=ONE, a_23_23=frac(-2, 3), s_14=ONE)),
+    ]
+    for form, point in points:
+        assert build_canonical(form) == reference_l41(point), form.id
 
 
 # -- classification ----------------------------------------------------------

@@ -245,6 +245,8 @@ BAD_INPUTS = {
     "term not an object": (["check", "{algebra}"],
                            json.dumps({"dim": 1, "labels": ["a"], "brackets": [
                                {"left": "a", "right": "a", "value": ["x"]}]})),
+    "labels not a list": (["check", "{algebra}"],
+                          json.dumps({"dim": 1, "labels": 5, "brackets": []})),
     "negative samples": (["verify", "--theorem", "3.4", "--n", "4", "--samples", "-5"], ""),
     "zero samples": (["verify", "--theorem", "3.4", "--n", "4", "--samples", "0"], ""),
 }

@@ -103,6 +103,15 @@ def test_reduced_extension_bracket_oracles():
     assert row(0, 1) == {"N13": "1"}
 
 
+def test_reduced_extension_is_the_generic_table_after_the_forced_relations():
+    for n, f in ((3, 1), (4, 1), (4, 2), (5, 1)):
+        sub = expected_substitution(n, f)
+        for al in range(1, f + 1):
+            for be in range(1, f + 1):
+                sub[s_name(n, al, be, (1, n))] = Poly.var(sigma_param(al, be))
+        assert generic_extension(n, f).substitute(sub) == reduced_extension(n, f), (n, f)
+
+
 # -- forced relations --------------------------------------------------------
 
 def test_expected_relation_counts():
