@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import (Matrix, RrefAccumulator, Subspace, invert,
@@ -126,6 +128,8 @@ def leibniz_residues(a: StructureTable) -> list:
     Returns a list of ((i, j, k), {component: coefficient}) entries, ordered
     by (i, j, k).
     """
+    if a.ring == SCALAR:
+        return _scalar_residues(a)
     out = []
     d = a.dim
     for i in range(d):
@@ -156,6 +160,88 @@ def leibniz_residues(a: StructureTable) -> list:
                 if nz:
                     out.append(((i, j, k), nz))
     return out
+
+
+def _scalar_residues(a: StructureTable) -> list:
+    """The residue scan of a scalar table, run over Z[i] (or Z when it can).
+
+    The table is scaled by D, the lcm of its denominators, into a d x d grid
+    of (component, re, im) int rows, or (component, re) rows when no entry
+    has an imaginary part.  Residues are homogeneous quadratic in the
+    entries, so the scaled scan finds D**2 times each one: the same triples,
+    the same components in the same order, and no gcd on the way.
+    """
+    d = a.dim
+    big_d = 1
+    for row in a.c.values():
+        for c in row.values():
+            if big_d % c.d:
+                big_d = lcm(big_d, c.d)
+    gaussian = any(c.y for row in a.c.values() for c in row.values())
+    grid = [[()] * d for _ in range(d)]
+    for (i, j), row in a.c.items():
+        grid[i][j] = tuple((k, c.x * (big_d // c.d), c.y * (big_d // c.d)) if gaussian
+                           else (k, c.x * (big_d // c.d)) for k, c in row.items())
+    triple = _gaussian_triple if gaussian else _integer_triple
+    out = []
+    for i in range(d):
+        gi = grid[i]
+        for j in range(d):
+            for k in range(d):
+                if gi[j] or grid[j][k] or gi[k]:
+                    acc = triple(grid, i, j, k)
+                    if acc:
+                        out.append(((i, j, k), {r: Scalar.from_ints(x, y, big_d * big_d)
+                                                for r, x, y in acc}))
+    return out
+
+
+def _integer_triple(grid: list, i: int, j: int, k: int) -> list:
+    """Nonzero (component, re, 0) of one residue over Z."""
+    acc = [0] * len(grid)
+    gi = grid[i]
+    for m, p in grid[j][k]:
+        for r, u in gi[m]:
+            acc[r] += p * u
+    for m, p in gi[j]:
+        for r, u in grid[m][k]:
+            acc[r] -= p * u
+    for m, p in gi[k]:
+        for r, u in grid[m][j]:
+            acc[r] += p * u
+    if not any(acc):
+        return []
+    return [(r, acc[r], 0) for r in _first_met(grid, i, j, k) if acc[r]]
+
+
+def _gaussian_triple(grid: list, i: int, j: int, k: int) -> list:
+    """Nonzero (component, re, im) of one residue over Z[i]."""
+    acc_re = [0] * len(grid)
+    acc_im = [0] * len(grid)
+    gi = grid[i]
+    for m, p, q in grid[j][k]:
+        for r, u, v in gi[m]:
+            acc_re[r] += p * u - q * v
+            acc_im[r] += p * v + q * u
+    for m, p, q in gi[j]:
+        for r, u, v in grid[m][k]:
+            acc_re[r] -= p * u - q * v
+            acc_im[r] -= p * v + q * u
+    for m, p, q in gi[k]:
+        for r, u, v in grid[m][j]:
+            acc_re[r] += p * u - q * v
+            acc_im[r] += p * v + q * u
+    if not any(acc_re) and not any(acc_im):
+        return []
+    return [(r, acc_re[r], acc_im[r]) for r in _first_met(grid, i, j, k)
+            if acc_re[r] or acc_im[r]]
+
+
+def _first_met(grid: list, i: int, j: int, k: int) -> dict:
+    """Components of residue (i, j, k) in the order the scan first meets them."""
+    return dict.fromkeys(chain((e[0] for m, *_ in grid[j][k] for e in grid[i][m]),
+                               (e[0] for m, *_ in grid[i][j] for e in grid[m][k]),
+                               (e[0] for m, *_ in grid[i][k] for e in grid[m][j])))
 
 
 def is_leibniz(a: StructureTable) -> bool:

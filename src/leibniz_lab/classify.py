@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .algebra import BasisChange, StructureTable, change_of_basis, is_lie, right_annihilator, series_signature
-from .extensions import ExtensionSpec, reduced_extension, stated_restrictions
+from .extensions import ExtensionSpec, first_violated_restriction, reduced_extension
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar
 from .symsolve import random_nonzero_scalar, random_scalar
@@ -81,11 +81,10 @@ class L41Params:
         return point
 
     def restriction_violation(self) -> Optional[str]:
-        point = self.family_point()
-        for desc, prod in stated_restrictions(4, 1):
-            if not prod.evaluate(point).is_zero():
-                return re.sub(r"\w+", lambda m: _L41_TEXT[m.group()], desc)
-        return None
+        desc = first_violated_restriction(4, 1, self.family_point())
+        if desc is None:
+            return None
+        return re.sub(r"\w+", lambda m: _L41_TEXT[m.group()], desc)
 
     def validate(self) -> None:
         bad = self.restriction_violation()

@@ -43,6 +43,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+# Largest n that `triangular --n` accepts: T(40) has dimension 780 and 19,760
+# nonzero brackets (a 3 MB file), and the table grows as n^3.
+MAX_TRIANGULAR_N = 40
+
+
+def triangular_size(text: str) -> int:
+    """argparse type for `triangular --n`: 3 <= n <= MAX_TRIANGULAR_N."""
+    value = int(text)
+    if not 3 <= value <= MAX_TRIANGULAR_N:
+        raise argparse.ArgumentTypeError(
+            f"expected 3 <= n <= {MAX_TRIANGULAR_N}, got {text!r}")
+    return value
+
+
 @dataclass
 class Report:
     command: str
@@ -283,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangular", parents=[common],
                        help="write the strictly upper triangular table")
-    p.add_argument("--n", type=int, required=True, help="matrix size, n >= 3")
+    p.add_argument("--n", type=triangular_size, required=True,
+                   help=f"matrix size, 3 <= n <= {MAX_TRIANGULAR_N}")
     p.add_argument("--out", required=True, help="output algebra file")
 
     p = sub.add_parser("extend", parents=[common],

@@ -464,13 +464,26 @@ def master_param_names(n: int, f: int) -> tuple:
     return tuple(names)
 
 
+def _restriction_text(weight: Poly, form: Poly) -> str:
+    return f"{weight} * ({form})" if len(form.terms) > 1 else f"{weight} * {form}"
+
+
 def stated_restrictions(n: int, f: int) -> tuple:
     """(description, product) pairs that valid parameter points must zero."""
-    out = []
+    return tuple((_restriction_text(weight, form), weight * form)
+                 for weight, form in restriction_factors(n, f))
+
+
+def first_violated_restriction(n: int, f: int, point: Mapping[str, Scalar]) -> str | None:
+    """Description of the first stated restriction the point breaks, or None.
+
+    A product over a field vanishes when one of its factors does, so only the
+    factors are evaluated, and only a broken restriction is worded.
+    """
     for weight, form in restriction_factors(n, f):
-        text = f"({form})" if len(form.terms) > 1 else str(form)
-        out.append((f"{weight} * {text}", weight * form))
-    return tuple(out)
+        if not weight.evaluate(point).is_zero() and not form.evaluate(point).is_zero():
+            return _restriction_text(weight, form)
+    return None
 
 
 def skew_forms(n: int, f: int) -> tuple:
@@ -508,11 +521,7 @@ class ExtensionSpec:
         return full
 
     def violated_restriction(self):
-        point = self.assignment()
-        for desc, prod in stated_restrictions(self.n, self.f):
-            if not prod.evaluate(point).is_zero():
-                return desc
-        return None
+        return first_violated_restriction(self.n, self.f, self.assignment())
 
 
 def build_extension(spec: ExtensionSpec, verify: bool = True) -> StructureTable:

@@ -9,80 +9,110 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 
-def _fmt_frac(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 class Scalar:
-    """An element of Q(i), both parts held as Fractions in lowest terms."""
+    """An element (x + y*i)/d of Q(i): ints with d > 0 and gcd(x, y, d) = 1.
 
-    __slots__ = ("re", "im")
+    The normal form is unique, so equality compares the three ints.  The
+    constructor takes the real and imaginary parts as ints or Fractions.
+    """
+
+    __slots__ = ("x", "y", "d")
+
+    # text form: "p/q", "p/q+r/s*i", "p/q-r/s*i"; unit denominators omitted,
+    # a lone imaginary unit prints as "i" (compiled before the `re` property
+    # below shadows the module in this class body)
+    _RE_REAL = re.compile(r"^([+-]?\d+(?:/\d+)?)$", re.ASCII)
+    _RE_IMAG = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
+    _RE_BOTH = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-])(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
+    _RE_SPACED_OP = re.compile(r" *([-+*/]) *")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.x, self.y, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # parts in lowest terms over d = lcm of their denominators: already normal
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        d = q * s // gcd(q, s)
+        self.x, self.y, self.d = p * (d // q), r * (d // s), d
+
+    @staticmethod
+    def from_ints(x: int, y: int, d: int) -> "Scalar":
+        """(x + y*i)/d for ints with d > 0, brought to normal form."""
+        return _reduced(x, y, d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return _raw(self.re + other.re, self.im + other.im)
+        return _sum(self.x, self.y, self.d, other.x, other.y, other.d)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return _raw(self.re - other.re, self.im - other.im)
+        return _sum(self.x, self.y, self.d, -other.x, -other.y, other.d)
 
     def __neg__(self) -> "Scalar":
-        return _raw(-self.re, -self.im)
+        return _new(-self.x, -self.y, self.d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            # rational case, skip the three extra Fraction products
-            return _raw(a * c, b)
-        return _raw(a * c - b * d, a * d + b * c)
+        a, b, d1 = self.x, self.y, self.d
+        c, e, d2 = other.x, other.y, other.d
+        if b or e:
+            x, y = a * c - b * e, a * e + b * c
+        else:
+            x, y = a * c, 0
+        if d1 == 1 and d2 == 1:
+            return _new(x, y, 1)
+        return _reduced(x, y, d1 * d2)
 
     def inverse(self) -> "Scalar":
-        n = self.re * self.re + self.im * self.im
+        x, y, d = self.x, self.y, self.d
+        n = x * x + y * y
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return _raw(self.re / n, -self.im / n)
+        return _reduced(d * x, -d * y, n)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Scalar) and self.re == other.re and self.im == other.im
+        return (isinstance(other, Scalar) and self.x == other.x
+                and self.y == other.y and self.d == other.d)
 
     def __hash__(self) -> int:
+        # the hash of the (re, im) Fraction pair, which is (x, y)'s when d == 1
+        if self.d == 1:
+            return hash((self.x, self.y))
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.x and not self.y
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _new(self.x, -self.y, self.d)
 
     def __str__(self) -> str:
-        re_, im = self.re, self.im
-        if im == 0:
-            return _fmt_frac(re_)
-        mag = -im if im < 0 else im
-        imtxt = "i" if mag == 1 else f"{_fmt_frac(mag)}*i"
-        if re_ == 0:
-            return imtxt if im > 0 else "-" + imtxt
-        sign = "-" if im < 0 else "+"
-        return f"{_fmt_frac(re_)}{sign}{imtxt}"
+        x, y, d = self.x, self.y, self.d
+        if not y:
+            return _fmt_ratio(x, d)
+        mag = _fmt_ratio(-y if y < 0 else y, d)
+        imtxt = "i" if mag == "1" else f"{mag}*i"
+        if not x:
+            return imtxt if y > 0 else "-" + imtxt
+        sign = "-" if y < 0 else "+"
+        return f"{_fmt_ratio(x, d)}{sign}{imtxt}"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-    # text form: "p/q", "p/q+r/s*i", "p/q-r/s*i"; unit denominators omitted,
-    # a lone imaginary unit prints as "i"
-    _RE_REAL = re.compile(r"^([+-]?\d+(?:/\d+)?)$", re.ASCII)
-    _RE_IMAG = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
-    _RE_BOTH = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-])(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
@@ -95,7 +125,8 @@ class Scalar:
 
     @classmethod
     def _parse(cls, text: str) -> "Scalar":
-        s = text.strip().replace(" ", "")
+        # spaces may flank an operator, never split a number
+        s = cls._RE_SPACED_OP.sub(r"\1", text.strip())
         m = cls._RE_REAL.match(s)
         if m:
             return cls(Fraction(m.group(1)))
@@ -111,12 +142,47 @@ class Scalar:
         raise ValueError(f"cannot parse scalar {text!r}")
 
 
-def _raw(re_: Fraction, im: Fraction) -> Scalar:
-    """Build from parts already held as Fractions, skipping coercion."""
-    s = Scalar.__new__(Scalar)
-    s.re = re_
-    s.im = im
+def _fmt_ratio(num: int, den: int) -> str:
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+_object_new = object.__new__
+
+
+def _new(x: int, y: int, d: int) -> Scalar:
+    """Build from ints already in normal form."""
+    s = _object_new(Scalar)
+    s.x = x
+    s.y = y
+    s.d = d
     return s
+
+
+def _reduced(x: int, y: int, d: int) -> Scalar:
+    """(x + y*i)/d for d > 0, brought to normal form."""
+    g = gcd(x, y, d)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    return _new(x, y, d)
+
+
+def _sum(x1: int, y1: int, d1: int, x2: int, y2: int, d2: int) -> Scalar:
+    if d1 == d2:
+        if d1 == 1:
+            return _new(x1 + x2, y1 + y2, 1)
+        return _reduced(x1 + x2, y1 + y2, d1)
+    # over coprime denominators (one of them 1, say) the sum is already normal
+    g = gcd(d1, d2)
+    if g == 1:
+        return _new(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+    e1, e2 = d1 // g, d2 // g
+    return _reduced(x1 * e2 + x2 * e1, y1 * e2 + y2 * e1, e1 * d2)
 
 
 ZERO = Scalar(0)
@@ -334,7 +400,7 @@ class Poly:
                 parts.append(_mon_str(m))
             elif c == NEG_ONE:
                 parts.append("-" + _mon_str(m))
-            elif c.im != 0:
+            elif c.y:
                 parts.append(f"({c})*{_mon_str(m)}")
             else:
                 parts.append(f"{c}*{_mon_str(m)}")

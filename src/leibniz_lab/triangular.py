@@ -55,26 +55,25 @@ def generator_label(f: int, alpha: int) -> str:
 def triangular(n: int):
     """Structure table of the strictly upper-triangular matrices.
 
-    [N_ij, N_kl] = delta_jk N_il - delta_il N_kj on the ordered basis.
+    [N_ij, N_kl] = delta_jk N_il - delta_il N_kj on the ordered basis, built
+    from its nonzero brackets alone: [N_ij, N_jl] = N_il and
+    [N_ij, N_ki] = -N_kj, O(n^3) of them among the O(n^4) pairs.
     """
     from .algebra import SCALAR, StructureTable
 
     if n < 3:
         raise ValueError("triangular table requires n >= 3")
     ps = pairs(n)
+    index = {p: k for k, p in enumerate(ps)}
     labels = [pair_label(n, i, j) for (i, j) in ps]
     entries: dict = {}
-    for r, (i, j) in enumerate(ps):
-        for s, (k, l) in enumerate(ps):
-            row: dict = {}
-            if j == k:
-                row[pair_index(n, i, l)] = ONE
-            if i == l:
-                t = pair_index(n, k, j)
-                row[t] = row.get(t, ZERO) + NEG_ONE
-            if row:
-                entries[(r, s)] = row
-    return StructureTable(len(ps), labels, entries, ring=SCALAR)
+    for (i, j), r in index.items():
+        for l in range(j + 1, n + 1):
+            entries[(r, index[(j, l)])] = {index[(i, l)]: ONE}
+        for k in range(1, i):
+            entries[(r, index[(k, i)])] = {index[(k, j)]: NEG_ONE}
+    # in (left, right) order, as a scan over all pairs would insert them
+    return StructureTable(len(ps), labels, dict(sorted(entries.items())), ring=SCALAR)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,12 @@ def test_clear_caches_reaches_every_memo_cache():
     assert not stray
 
 
+def assert_within(t0, bound):
+    """A timed check that reports its elapsed time against the bound."""
+    elapsed = time.monotonic() - t0
+    assert elapsed < bound, f"took {elapsed:.2f} s against a bound of {bound} s"
+
+
 def sampled_batch(n, count, seed):
     """count seeded members at size n, cycling the generator rank."""
     ranks = list(range(1, n))
@@ -78,7 +84,7 @@ def test_criterion_01_triangular_family():
     t4 = triangular(4)
     assert [s.dim for s in lower_central_series(t4)] == [6, 3, 1, 0]
     assert [s.dim for s in derived_series(t4)] == [6, 3, 0]
-    assert time.monotonic() - t0 < 1.0
+    assert_within(t0, 1.0)
 
 
 def test_criterion_02_structure_shape_of_sampled_extensions():
@@ -93,7 +99,7 @@ def test_criterion_02_structure_shape_of_sampled_extensions():
                 report = check_structure_shape(structure_matrices(table, n, alpha))
                 assert report.passed, (n, spec.f, alpha, report.violations)
                 assert report.diagonal_sums_ok
-    assert time.monotonic() - t0 < 5.0
+    assert_within(t0, 5.0)
 
 
 def test_criterion_03_forced_linear_relations():
@@ -107,7 +113,7 @@ def test_criterion_03_forced_linear_relations():
             assert report.missing_linear == ()
             assert report.unexplained_residual == ()
         if n == 4:
-            assert time.monotonic() - t0 < 60.0
+            assert_within(t0, 60.0)
 
 
 def test_criterion_04_quadratic_restrictions_close_the_family():
@@ -136,7 +142,7 @@ def test_criterion_06_full_rank_extensions_are_lie():
     assert check4.ok and check4.f == 3
     t0 = time.monotonic()
     check5 = verify_max_extension_is_lie(5, samples=100)
-    assert time.monotonic() - t0 < 120.0
+    assert_within(t0, 120.0)
     assert check5.ok and check5.f == 4
     for chk in (check4, check5):
         assert chk.skew_relations_forced
@@ -177,7 +183,7 @@ def test_criterion_08_classification_round_trip():
     for i in range(3):
         for j in range(i + 1, 3):
             assert distinguish(reps[i], reps[j]) == "distinct"
-    assert time.monotonic() - t0 < 10.0
+    assert_within(t0, 10.0)
 
 
 def test_criterion_09_two_generator_canonical_table():
@@ -205,10 +211,10 @@ def test_criterion_11_derivation_algebra_performance():
     clear_caches()
     t0 = time.monotonic()
     assert derivation_algebra(triangular(6)).dim == 24
-    assert time.monotonic() - t0 < 5.0
+    assert_within(t0, 5.0)
     t0 = time.monotonic()
     assert derivation_algebra(triangular(8)).dim == 41
-    assert time.monotonic() - t0 < 60.0
+    assert_within(t0, 60.0)
 
 
 def random_change(dim, rng):

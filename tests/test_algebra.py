@@ -1,12 +1,14 @@
 """Structure tables: brackets, identities, series, derivations, transport."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leibniz_lab.algebra import (BasisChange, StructureTable, TableChecks,
+from leibniz_lab.algebra import (POLY, BasisChange, StructureTable, TableChecks,
                                  bracket, change_of_basis, derivation_algebra,
                                  derived_series, dumps_table, is_derivation,
                                  is_ideal, is_leibniz, is_lie, is_nilpotent,
@@ -16,7 +18,8 @@ from leibniz_lab.algebra import (BasisChange, StructureTable, TableChecks,
                                  series_signature, table_from_document,
                                  table_to_document)
 from leibniz_lab.linalg import Matrix, span
-from leibniz_lab.scalars import ONE, ZERO, Scalar
+from leibniz_lab.extensions import ExtensionSpec, build_extension
+from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
 from leibniz_lab.triangular import triangular
 
 
@@ -76,6 +79,98 @@ def test_corrupted_table_is_caught():
     assert not is_leibniz(broken)
     bad = leibniz_residues(broken)
     assert bad and all(comps for _, comps in bad)
+
+
+def pair_residues(a):
+    """The residue scan of a scalar table, redone in (re, im) Fraction pairs."""
+    c = {key: {k: (v.re, v.im) for k, v in row.items()} for key, row in a.c.items()}
+    out = []
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        acc = {}
+        for sign, outer, inner in ((1, (j, k), lambda m: (i, m)),
+                                   (-1, (i, j), lambda m: (m, k)),
+                                   (1, (i, k), lambda m: (m, j))):
+            for m, (p, q) in c.get(outer, {}).items():
+                for r, (u, v) in c.get(inner(m), {}).items():
+                    re, im = acc.get(r, (0, 0))
+                    acc[r] = (re + sign * (p * u - q * v), im + sign * (p * v + q * u))
+        nz = [(r, z) for r, z in acc.items() if z != (0, 0)]
+        if nz:
+            out.append(((i, j, k), nz))
+    return out
+
+
+def as_pairs(residues):
+    return [(t, [(r, (c.re, c.im)) for r, c in comps.items()]) for t, comps in residues]
+
+
+# Rationals, and Gaussian rationals, whose denominators mix 1 to 6.
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+gaussians = st.builds(Scalar, rationals,
+                      st.sampled_from((0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 5))))
+
+
+@st.composite
+def random_tables(draw):
+    """Small tables, over Q (the scan's integer path) or over Q(i)."""
+    dim = draw(st.integers(2, 4))
+    index = st.integers(0, dim - 1)
+    coefs = draw(st.sampled_from((rationals.map(Scalar), gaussians)))
+    keys = draw(st.lists(st.tuples(index, index), unique=True, max_size=dim * dim))
+    entries = {key: draw(st.dictionaries(index, coefs, max_size=dim)) for key in keys}
+    return StructureTable(dim, [f"e{k}" for k in range(dim)], entries)
+
+
+@given(random_tables())
+def test_residue_scan_matches_a_fraction_pair_scan(table):
+    assert as_pairs(leibniz_residues(table)) == pair_residues(table)
+
+
+def gaussian_change(dim, rng, imaginary=(0, 0, 0, 1)):
+    while True:
+        rows = [[Scalar(Fraction(rng.randint(-1, 1), rng.choice((1, 1, 2))),
+                        rng.choice(imaginary))
+                 for _ in range(dim)] for _ in range(dim)]
+        try:
+            return BasisChange(Matrix(rows, ncols=dim))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_residue_scan_matches_on_transported_tables(seed):
+    """Leibniz tables under a rational or Gaussian basis change, then spoiled."""
+    rng = random.Random(seed)
+    member = build_extension(ExtensionSpec(3, 1, {
+        "a1_12_12": Scalar(2), "a1_23_23": Scalar(-2), "a1_12_23": Scalar(3),
+        "s11": Scalar(Fraction(1, 2), 1)}))
+    assert not is_lie(member)
+    for source, imaginary in ((T4, (0,)), (member, (0, 0, 0, 1))):
+        moved = change_of_basis(source, gaussian_change(source.dim, rng, imaginary))
+        assert max(c.d for row in moved.c.values() for c in row.values()) > 1
+        assert leibniz_residues(moved) == pair_residues(moved) == []
+        entries = {key: dict(row) for key, row in moved.c.items()}
+        key = rng.choice(sorted(entries))
+        k = rng.choice(sorted(entries[key]))
+        entries[key][k] = entries[key][k] + Scalar(Fraction(1, 7), imaginary[-1])
+        spoiled = StructureTable(moved.dim, moved.labels, entries)
+        got = leibniz_residues(spoiled)
+        assert got and as_pairs(got) == pair_residues(spoiled)
+
+
+def test_scalar_and_poly_scans_agree():
+    """The Z[i] scan of a scalar table and the Poly scan of its constants."""
+    rng = random.Random(4)
+    moved = change_of_basis(T4, gaussian_change(6, rng))
+    entries = {key: dict(row) for key, row in moved.c.items()}
+    entries[(0, 1)] = {3: Scalar(Fraction(3, 4), -1)}
+    table = StructureTable(6, T4.labels, entries)
+    consts = StructureTable(6, T4.labels, {key: {k: Poly.const(c) for k, c in row.items()}
+                                           for key, row in entries.items()}, ring=POLY)
+    got = leibniz_residues(table)
+    assert got
+    assert [(t, {r: c.constant_term() for r, c in comps.items()})
+            for t, comps in leibniz_residues(consts)] == got
 
 
 def test_nonskew_table_is_leibniz_but_not_lie():

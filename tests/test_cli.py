@@ -5,7 +5,7 @@ import json
 import pytest
 
 from leibniz_lab.algebra import StructureTable, load_table, save_table
-from leibniz_lab.cli import main, read_params, run
+from leibniz_lab.cli import MAX_TRIANGULAR_N, main, read_params, run
 from leibniz_lab.scalars import Scalar
 from leibniz_lab.triangular import triangular
 
@@ -249,6 +249,8 @@ BAD_INPUTS = {
                           json.dumps({"dim": 1, "labels": 5, "brackets": []})),
     "negative samples": (["verify", "--theorem", "3.4", "--n", "4", "--samples", "-5"], ""),
     "zero samples": (["verify", "--theorem", "3.4", "--n", "4", "--samples", "0"], ""),
+    "triangular over the cap": (["triangular", "--n", str(MAX_TRIANGULAR_N + 1),
+                                 "--out", "{algebra}"], ""),
 }
 
 

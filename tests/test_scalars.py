@@ -1,6 +1,7 @@
 """Field arithmetic in Q(i) and sparse polynomial behavior."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,13 +38,15 @@ def test_text_round_trip_exact():
 
 def test_parse_rejects_garbage():
     for bad in ("", "x", "1+", "i*2", "1//2", "2i", "1 + 2",
-                "1/0", "2/0*i", "1+3/0*i", "\u0663", "\u0661/\u0662", "1+\u0662*i", 3):
+                "1/0", "2/0*i", "1+3/0*i", "\u0663", "\u0661/\u0662", "1+\u0662*i", 3,
+                "1 2", "1/2 3", "1+2 3*i", "2 i"):
         with pytest.raises(ValueError):
             Scalar.parse(bad)
 
 
 def test_parse_tolerates_spacing():
     assert Scalar.parse(" 3/2 - 1/5*i ") == Scalar(frac(3, 2), frac(-1, 5))
+    assert Scalar.parse("- 3 / 2 + 1 / 5 * i") == Scalar(frac(-3, 2), frac(1, 5))
 
 
 def test_str_omits_unit_denominators():
@@ -97,6 +100,75 @@ def test_conjugate_norm_is_rational(a):
     n = a * a.conjugate()
     assert n.im == 0
     assert (n.re >= 0)
+
+
+# -- the int normal form, against a Fraction-pair oracle ----------------------
+
+# Parts with small, shared and large denominators, so sums meet equal,
+# coprime and partly shared denominators alike.
+parts = st.one_of(st.integers(-60, 60).map(Fraction),
+                  st.fractions(min_value=-40, max_value=40, max_denominator=12),
+                  st.fractions(max_denominator=10 ** 12))
+pairs = st.tuples(parts, parts)
+
+
+def pair_mul(p, q):
+    (a, b), (c, e) = p, q
+    return (a * c - b * e, a * e + b * c)
+
+
+def pair_inverse(p):
+    a, b = p
+    n = a * a + b * b
+    return (a / n, -b / n)
+
+
+def assert_normal(s, want):
+    """s is in normal form and holds the Fraction pair `want`."""
+    assert s.d > 0
+    assert gcd(s.x, s.y, s.d) == 1
+    assert (Fraction(s.x, s.d), Fraction(s.y, s.d)) == want
+    assert (s.re, s.im) == want
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(p, q):
+    s, t = Scalar(*p), Scalar(*q)
+    assert_normal(s, p)
+    assert_normal(s + t, (p[0] + q[0], p[1] + q[1]))
+    assert_normal(s - t, (p[0] - q[0], p[1] - q[1]))
+    assert_normal(-s, (-p[0], -p[1]))
+    assert_normal(s * t, pair_mul(p, q))
+    assert_normal(s.conjugate(), (p[0], -p[1]))
+    if q == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            t.inverse()
+        with pytest.raises(ZeroDivisionError):
+            s / t
+    else:
+        assert_normal(t.inverse(), pair_inverse(q))
+        assert_normal(s / t, pair_mul(p, pair_inverse(q)))
+
+
+@given(pairs, pairs)
+def test_hash_and_equality_follow_the_fraction_pair(p, q):
+    s, t = Scalar(*p), Scalar(*q)
+    assert (s == t) == (p == q)
+    assert hash(s) == hash(p)
+    assert s.is_zero() == (p == (0, 0))
+    assert s != p
+
+
+@given(pairs)
+def test_text_round_trip_of_any_scalar(p):
+    s = Scalar(*p)
+    assert Scalar.parse(str(s)) == s
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 6))
+def test_from_ints_normalizes(x, y, d):
+    assert_normal(Scalar.from_ints(x, y, d), (Fraction(x, d), Fraction(y, d)))
 
 
 # -- Poly --------------------------------------------------------------------
