@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -104,22 +104,95 @@ class StructureTable:
         return f"StructureTable(dim={self.dim}, ring={self.ring})"
 
 
+class _IntView:
+    """grid[i][j]: the (component, re, im) int cells of D * [e_i, e_j], D the
+    lcm of the denominators; size: the largest |re| + |im|.  Built per public
+    call, not cached: a caller keeping many tables would keep entries twice."""
+
+    __slots__ = ("den", "grid", "size")
+
+    def __init__(self, a: StructureTable, caller: str):
+        if a.ring != SCALAR:
+            raise ValueError(f"{caller} requires scalar coefficients")
+        self.den, cells, self.size = _scaled(c for row in a.c.values() for c in row.values())
+        self.grid = [[()] * a.dim for _ in range(a.dim)]
+        it = iter(cells)
+        for (i, j), row in a.c.items():
+            self.grid[i][j] = tuple((k, *next(it)) for k in row)
+
+
+def _scaled(scalars) -> tuple:
+    """(den, den * each scalar as an (re, im) int pair, largest |re| + |im|)."""
+    scalars = list(scalars)
+    den = lcm(*(c.d for c in scalars))
+    pairs = [(c.x * (den // c.d), c.y * (den // c.d)) for c in scalars]
+    return den, pairs, max([abs(x) + abs(y) for x, y in pairs], default=0)
+
+
+def _sparse_ints(vec: Sequence) -> tuple:
+    """(den, [(index, re, im)]) of the nonzero entries of den * vec."""
+    den, pairs, _ = _scaled(vec)
+    return den, [(i, x, y) for i, (x, y) in enumerate(pairs) if x or y]
+
+
+def _slot_bits(bound: int) -> int:
+    """K with 2**(K-1) > bound: a packed sum(v_k * 2**(K*k)) with every
+    |v_k| <= bound then has one balanced expansion, zero iff each v_k is."""
+    return (2 * bound).bit_length()
+
+
+def _pack(cells, bits: int, n: int) -> tuple:
+    """The (component, re, im) cells as one int, n re slots then n im slots,
+    and that int times i (re and im swapped, one negated)."""
+    re = im = 0
+    for k, x, y in cells:
+        re += x << (bits * k)
+        im += y << (bits * k)
+    return re + (im << (bits * n)), (re << (bits * n)) - im
+
+
+def _unpack(v: int, bits: int, n: int) -> list:
+    """The n balanced slots of a packed int."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    v += half * ((1 << (bits * n)) - 1) // mask     # half in each slot
+    return [((v >> (bits * k)) & mask) - half for k in range(n)]
+
+
+def _mac(cells, rows: Sequence) -> int:
+    """sum of (p + q*i) * rows[m] over the (m, p, q) cells, for rows packed
+    with their multiples by i."""
+    acc = 0
+    for m, p, q in cells:
+        u, v = rows[m]
+        acc += p * u + q * v
+    return acc
+
+
+def _bracket_ints(grid: list, xs: list, ys: list, d: int) -> tuple:
+    """(re, im) int lists of the bracket of two sparse (index, re, im) vectors."""
+    re, im = [0] * d, [0] * d
+    for i, p, q in xs:
+        gi = grid[i]
+        for j, u, v in ys:
+            cells = gi[j]
+            if cells:
+                f, g = p * u - q * v, p * v + q * u
+                for k, x, y in cells:
+                    re[k] += f * x - g * y
+                    im[k] += f * y + g * x
+    return re, im
+
+
 def bracket(a: StructureTable, x: Sequence, y: Sequence) -> list:
     """Product of two coefficient vectors in the based algebra."""
     if len(x) != a.dim or len(y) != a.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    zero = _zero_of(a.ring)
-    out = [zero] * a.dim
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if yj.is_zero():
-                continue
-            f = xi * yj
-            for k, ck in a.row(i, j).items():
-                out[k] = out[k] + f * ck
-    return out
+    view = _IntView(a, "bracket")
+    dx, xs = _sparse_ints(x)
+    dy, ys = _sparse_ints(y)
+    den = view.den * dx * dy
+    re, im = _bracket_ints(view.grid, xs, ys, a.dim)
+    return [Scalar.from_ints(r, s, den) for r, s in zip(re, im)]
 
 
 def leibniz_residues(a: StructureTable) -> list:
@@ -129,7 +202,7 @@ def leibniz_residues(a: StructureTable) -> list:
     by (i, j, k).
     """
     if a.ring == SCALAR:
-        return _scalar_residues(a)
+        return _scalar_residues(_IntView(a, "leibniz_residues"), a.dim)
     out = []
     d = a.dim
     for i in range(d):
@@ -162,79 +235,31 @@ def leibniz_residues(a: StructureTable) -> list:
     return out
 
 
-def _scalar_residues(a: StructureTable) -> list:
-    """The residue scan of a scalar table, run over Z[i] (or Z when it can).
-
-    The table is scaled by D, the lcm of its denominators, into a d x d grid
-    of (component, re, im) int rows, or (component, re) rows when no entry
-    has an imaginary part.  Residues are homogeneous quadratic in the
-    entries, so the scaled scan finds D**2 times each one: the same triples,
-    the same components in the same order, and no gcd on the way.
+def _scalar_residues(view: _IntView, d: int) -> list:
+    """The residue scan over packed rows: each (triple, intermediate) costs
+    one multiply-add of a cell by a bracket row and its multiple by i.  A
+    component sums 3*d products of two cells.  Residues are quadratic, so
+    this finds D**2 times each; only a nonzero one is unpacked, and divided.
     """
-    d = a.dim
-    big_d = 1
-    for row in a.c.values():
-        for c in row.values():
-            if big_d % c.d:
-                big_d = lcm(big_d, c.d)
-    gaussian = any(c.y for row in a.c.values() for c in row.values())
-    grid = [[()] * d for _ in range(d)]
-    for (i, j), row in a.c.items():
-        grid[i][j] = tuple((k, c.x * (big_d // c.d), c.y * (big_d // c.d)) if gaussian
-                           else (k, c.x * (big_d // c.d)) for k, c in row.items())
-    triple = _gaussian_triple if gaussian else _integer_triple
+    grid, den2 = view.grid, view.den * view.den
+    bits = _slot_bits(3 * d * view.size * view.size)
+    packed = [[_pack(cells, bits, d) for cells in gi] for gi in grid]
+    cols = list(zip(*packed))
     out = []
     for i in range(d):
-        gi = grid[i]
+        gi, pi = grid[i], packed[i]
         for j in range(d):
+            gij, gj = gi[j], grid[j]
             for k in range(d):
-                if gi[j] or grid[j][k] or gi[k]:
-                    acc = triple(grid, i, j, k)
-                    if acc:
-                        out.append(((i, j, k), {r: Scalar.from_ints(x, y, big_d * big_d)
-                                                for r, x, y in acc}))
+                gjk, gik = gj[k], gi[k]
+                if gij or gjk or gik:
+                    res = _mac(gjk, pi) - _mac(gij, cols[k]) + _mac(gik, cols[j])
+                    if res:
+                        s = _unpack(res, bits, 2 * d)
+                        out.append(((i, j, k), {r: Scalar.from_ints(s[r], s[d + r], den2)
+                                                for r in _first_met(grid, i, j, k)
+                                                if s[r] or s[d + r]}))
     return out
-
-
-def _integer_triple(grid: list, i: int, j: int, k: int) -> list:
-    """Nonzero (component, re, 0) of one residue over Z."""
-    acc = [0] * len(grid)
-    gi = grid[i]
-    for m, p in grid[j][k]:
-        for r, u in gi[m]:
-            acc[r] += p * u
-    for m, p in gi[j]:
-        for r, u in grid[m][k]:
-            acc[r] -= p * u
-    for m, p in gi[k]:
-        for r, u in grid[m][j]:
-            acc[r] += p * u
-    if not any(acc):
-        return []
-    return [(r, acc[r], 0) for r in _first_met(grid, i, j, k) if acc[r]]
-
-
-def _gaussian_triple(grid: list, i: int, j: int, k: int) -> list:
-    """Nonzero (component, re, im) of one residue over Z[i]."""
-    acc_re = [0] * len(grid)
-    acc_im = [0] * len(grid)
-    gi = grid[i]
-    for m, p, q in grid[j][k]:
-        for r, u, v in gi[m]:
-            acc_re[r] += p * u - q * v
-            acc_im[r] += p * v + q * u
-    for m, p, q in gi[j]:
-        for r, u, v in grid[m][k]:
-            acc_re[r] -= p * u - q * v
-            acc_im[r] -= p * v + q * u
-    for m, p, q in gi[k]:
-        for r, u, v in grid[m][j]:
-            acc_re[r] += p * u - q * v
-            acc_im[r] += p * v + q * u
-    if not any(acc_re) and not any(acc_im):
-        return []
-    return [(r, acc_re[r], acc_im[r]) for r in _first_met(grid, i, j, k)
-            if acc_re[r] or acc_im[r]]
 
 
 def _first_met(grid: list, i: int, j: int, k: int) -> dict:
@@ -273,46 +298,49 @@ def mult_matrix(a: StructureTable, x: Sequence, side: str) -> Matrix:
 
     Columns are the images of the basis vectors in coordinates.
     """
-    if a.ring != SCALAR:
-        raise ValueError("mult_matrix requires scalar coefficients")
+    view = _IntView(a, "mult_matrix")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if len(x) != a.dim:
         raise ValueError("vector length must equal the algebra dimension")
     d = a.dim
+    dx, xs = _sparse_ints(x)
+    den = view.den * dx
     cols = []
     for s in range(d):
-        if side == "right":
-            img = bracket(a, a.basis_vector(s), x)
-        else:
-            img = bracket(a, x, a.basis_vector(s))
-        cols.append(img)
+        es = [(s, 1, 0)]
+        re, im = _bracket_ints(view.grid, *((es, xs) if side == "right" else (xs, es)), d)
+        cols.append([Scalar.from_ints(r, t, den) for r, t in zip(re, im)])
     return Matrix([[cols[s][r] for s in range(d)] for r in range(d)], ncols=d)
 
 
-def _bracket_span(a: StructureTable, u: Subspace, v: Subspace) -> Subspace:
-    acc = RrefAccumulator(a.dim)
-    for x in u.mat.rows:
-        for y in v.mat.rows:
-            acc.add(bracket(a, x, y))
+def _bracket_span(view: _IntView, d: int, u: Subspace, v: Subspace) -> Subspace:
+    """span [u, v] for u a series term C^k (v = L) or D^k (v = u).
+
+    Each bracket goes to the eliminator in ints, a nonzero multiple of its
+    value: the span is the same, and its RREF is unique.  The span lies in
+    u, so it stops at dim u.  That holds for any bilinear product: C^2 lies
+    in L, and C^k in C^{k-1} gives C^{k+1} = [C^k, L] in [C^{k-1}, L] = C^k;
+    likewise D^{k+1} = [D^k, D^k] lies in [D^{k-1}, D^{k-1}] = D^k."""
+    acc = RrefAccumulator(d)
+    vs = [_sparse_ints(y)[1] for y in v.mat.rows]
+    for xs, ys in product([_sparse_ints(x)[1] for x in u.mat.rows], vs):
+        re, im = _bracket_ints(view.grid, xs, ys, d)
+        acc.add({k: Scalar(r, t) for k, (r, t) in enumerate(zip(re, im)) if r or t})
+        if acc.dim == u.dim:
+            break
     return acc.to_subspace()
 
 
 def _series(a: StructureTable, derived: bool) -> list:
-    if a.ring != SCALAR:
-        raise ValueError("series require scalar coefficients")
+    view = _IntView(a, "series")
     terms = [Subspace.full(a.dim)]
-    whole = terms[0]
-    for _ in range(a.dim + 1):
+    while terms[-1].dim:
         prev = terms[-1]
-        if prev.dim == 0:
-            break
-        nxt = _bracket_span(a, prev, prev if derived else whole)
-        if nxt.dim == prev.dim and nxt == prev:
+        nxt = _bracket_span(view, a.dim, prev, prev if derived else terms[0])
+        if nxt.dim >= prev.dim:     # equal, by the argument at _bracket_span
             break
         terms.append(nxt)
-        if nxt.dim == 0:
-            break
     return terms
 
 
@@ -354,36 +382,43 @@ def right_annihilator(a: StructureTable) -> Subspace:
 
 def is_ideal(a: StructureTable, s: Subspace) -> bool:
     """Two-sided ideal test for a subspace."""
-    if a.ring != SCALAR:
-        raise ValueError("is_ideal requires scalar coefficients")
+    view = _IntView(a, "is_ideal")
     if s.ambient != a.dim:
         raise ValueError("subspace ambient dimension mismatch")
+    d = a.dim
     for u in s.mat.rows:
-        for i in range(a.dim):
-            e = a.basis_vector(i)
-            if not s.contains(bracket(a, e, u)):
-                return False
-            if not s.contains(bracket(a, u, e)):
-                return False
+        us = _sparse_ints(u)[1]
+        for i in range(d):
+            ei = [(i, 1, 0)]
+            # membership does not see the common denominator
+            for re, im in (_bracket_ints(view.grid, ei, us, d),
+                           _bracket_ints(view.grid, us, ei, d)):
+                if not s.contains([Scalar(r, t) for r, t in zip(re, im)]):
+                    return False
     return True
 
 
 def is_derivation(a: StructureTable, d: Matrix) -> bool:
     """Check d([x,y]) = [d(x),y] + [x,d(y)] on all basis pairs."""
-    if a.ring != SCALAR:
-        raise ValueError("is_derivation requires scalar coefficients")
+    view = _IntView(a, "is_derivation")
     if d.nrows != a.dim or d.ncols != a.dim:
         raise ValueError("derivation matrix shape mismatch")
     n = a.dim
-    cols = [[d.rows[r][s] for r in range(n)] for s in range(n)]
+    # every term is over the common denominator den(d) * D, so compare ints
+    _, cells, _ = _scaled(chain.from_iterable(d.rows))
+    cols = [[(r, *cells[r * n + s]) for r in range(n) if any(cells[r * n + s])]
+            for s in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = d.apply([a.row(i, j).get(k, ZERO) for k in range(n)])
-            rhs1 = bracket(a, cols[i], a.basis_vector(j))
-            rhs2 = bracket(a, a.basis_vector(i), cols[j])
-            for k in range(n):
-                if not (lhs[k] - rhs1[k] - rhs2[k]).is_zero():
-                    return False
+            re, im = _bracket_ints(view.grid, cols[i], [(j, 1, 0)], n)
+            re2, im2 = _bracket_ints(view.grid, [(i, 1, 0)], cols[j], n)
+            for s, x, y in view.grid[i][j]:
+                for k, u, v in cols[s]:
+                    re[k] -= x * u - y * v
+                    im[k] -= x * v + y * u
+            # [d(e_i), e_j] - d([e_i, e_j]) + [e_i, d(e_j)] must vanish
+            if any(r + t for r, t in zip(re + im, re2 + im2)):
+                return False
     return True
 
 
@@ -449,44 +484,39 @@ class BasisChange:
 
 
 def change_of_basis(a: StructureTable, bc: BasisChange) -> StructureTable:
-    """Transport the table to the basis e'_i = sum_j p_ij e_j."""
-    if a.ring != SCALAR:
-        raise ValueError("change_of_basis requires scalar coefficients")
+    """Transport the table to the basis e'_i = sum_j p_ij e_j.
+
+    With P = P'/d_P and P^-1 = Q'/d_Q, row (i, j) is sum_ab p'_ia p'_jb G_ab Q'
+    over D * d_P**2 * d_Q, in packed stages: over b, over a, then times the
+    packed rows of Q'.  A slot sums d**3 products of four entries.
+    """
+    view = _IntView(a, "change_of_basis")
     if bc.dim != a.dim:
         raise ValueError("basis change dimension mismatch")
     d = a.dim
-    p = bc.p.rows
-    pinv = bc.p_inv.rows
+    dp, p, mp = _scaled(chain.from_iterable(bc.p.rows))
+    dq, q, mq = _scaled(chain.from_iterable(bc.p_inv.rows))
+    bits = _slot_bits(d ** 3 * mp * mp * mq * view.size)
+    g = [[_pack(cells, bits, d) for cells in row] for row in view.grid]
+    qrows = [_pack([(k, *q[c * d + k]) for k in range(d)], bits, d) for c in range(d)]
+    prows = [[(b, x, y) for b, (x, y) in enumerate(p[r * d:(r + 1) * d]) if x or y]
+             for r in range(d)]
+    irows = [[(b, -y, x) for b, x, y in row] for row in prows]     # i * P'
+    # (h_aj, i * h_aj) with h_aj = sum_b p'_jb G_ab, for the next stage
+    hcols = [[(_mac(prows[j], g[aa]), _mac(irows[j], g[aa])) for aa in range(d)]
+             for j in range(d)]
+    den = view.den * dp * dp * dq
     entries: dict = {}
     for i in range(d):
         for j in range(d):
-            w = [ZERO] * d
-            for aa in range(d):
-                pa = p[i][aa]
-                if pa.is_zero():
-                    continue
-                for bb in range(d):
-                    pb = p[j][bb]
-                    if pb.is_zero():
-                        continue
-                    f = pa * pb
-                    for k, ck in a.row(aa, bb).items():
-                        w[k] = w[k] + f * ck
-            if all(x.is_zero() for x in w):
+            w = _mac(prows[i], hcols[j])
+            if not w:
                 continue
-            row = {}
-            for k in range(d):
-                acc = ZERO
-                for cidx in range(d):
-                    wc = w[cidx]
-                    if not wc.is_zero():
-                        pk = pinv[cidx][k]
-                        if not pk.is_zero():
-                            acc = acc + pk * wc
-                if not acc.is_zero():
-                    row[k] = acc
-            if row:
-                entries[(i, j)] = row
+            s = _unpack(w, bits, 2 * d)
+            s = _unpack(_mac([(c, s[c], s[d + c]) for c in range(d)], qrows), bits, 2 * d)
+            # w != 0 and Q' is invertible, so the row is not zero
+            entries[(i, j)] = {k: Scalar.from_ints(s[k], s[d + k], den)
+                               for k in range(d) if s[k] or s[d + k]}
     return StructureTable(d, a.labels, entries, ring=SCALAR)
 
 

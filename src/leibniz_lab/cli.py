@@ -27,12 +27,20 @@ class CliError(ValueError):
     """Problem with the invocation or its input files; exits with code 2."""
 
 
+class _HelpRequested(Exception):
+    """-h or --help was given; carries the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors raise CliError instead of exiting."""
+    """Argument parser whose usage errors raise CliError and whose help
+    raises _HelpRequested, instead of printing and exiting."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def positive_int(text: str) -> int:
@@ -377,12 +385,19 @@ def _requested_format(argv: list) -> str:
 
 def run(argv=None) -> Report:
     argv = sys.argv[1:] if argv is None else list(argv)
+    structured = _requested_format(argv) == "structured"
+    command = argv[0] if argv and argv[0] in HANDLERS else None
     try:
         args = build_parser().parse_args(argv)
+    except _HelpRequested as exc:
+        if structured:
+            _emit(Report(command, {"help": exc.args[0]}, [], 0), "structured")
+        else:
+            print(exc.args[0], end="")
+        raise SystemExit(0) from None
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if _requested_format(argv) == "structured":
-            command = argv[0] if argv and argv[0] in HANDLERS else None
+        if structured:
             _emit(Report(command, {"error": str(exc)}, [], 2), "structured")
         raise SystemExit(2) from None
     fmt = args.fmt

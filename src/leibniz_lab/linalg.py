@@ -247,9 +247,6 @@ class Subspace:
         self._check(vec)
         return self.acc.contains(vec)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.mat.rows)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self.mat == other.mat)
@@ -265,21 +262,6 @@ def span(vectors: Sequence[Vector], ambient: int | None = None) -> Subspace:
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} as a canonical subspace of Q(i)^ncols."""
     return kernel_of_sparse_rows(m.rows, m.ncols)
-
-
-def subspace_rel(a: Subspace, b: Subspace) -> str:
-    """One of 'equal', 'a_in_b', 'b_in_a', 'incomparable'."""
-    if a.ambient != b.ambient:
-        raise ValueError("subspaces live in different ambient spaces")
-    ab = b.contains_subspace(a)
-    ba = a.contains_subspace(b)
-    if ab and ba:
-        return "equal"
-    if ab:
-        return "a_in_b"
-    if ba:
-        return "b_in_a"
-    return "incomparable"
 
 
 def invert(m: Matrix) -> Matrix:

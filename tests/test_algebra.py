@@ -17,7 +17,7 @@ from leibniz_lab.algebra import (POLY, BasisChange, StructureTable, TableChecks,
                                  mult_matrix, right_annihilator, save_table,
                                  series_signature, table_from_document,
                                  table_to_document)
-from leibniz_lab.linalg import Matrix, span
+from leibniz_lab.linalg import Matrix, RrefAccumulator, Subspace, span
 from leibniz_lab.extensions import ExtensionSpec, build_extension
 from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
 from leibniz_lab.triangular import triangular
@@ -171,6 +171,183 @@ def test_scalar_and_poly_scans_agree():
     assert got
     assert [(t, {r: c.constant_term() for r, c in comps.items()})
             for t, comps in leibniz_residues(consts)] == got
+
+
+# -- integer kernels against the Scalar loops they replaced ------------------
+
+def ref_bracket(a, x, y):
+    out = [ZERO] * a.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, ck in a.row(i, j).items():
+                out[k] = out[k] + xi * yj * ck
+    return out
+
+
+def ref_mult_matrix(a, x, side):
+    cols = [ref_bracket(a, a.basis_vector(s), x) if side == "right"
+            else ref_bracket(a, x, a.basis_vector(s)) for s in range(a.dim)]
+    return Matrix([[cols[s][r] for s in range(a.dim)] for r in range(a.dim)], ncols=a.dim)
+
+
+def ref_series(a, derived):
+    """Spans of all brackets, with no early stop, until a term repeats or is 0."""
+    terms = [Subspace.full(a.dim)]
+    for _ in range(a.dim + 1):
+        prev = terms[-1]
+        if prev.dim == 0:
+            break
+        acc = RrefAccumulator(a.dim)
+        for x in prev.mat.rows:
+            for y in (prev if derived else terms[0]).mat.rows:
+                acc.add(ref_bracket(a, x, y))
+        nxt = acc.to_subspace()
+        if nxt == prev:
+            break
+        terms.append(nxt)
+    return terms
+
+
+def ref_change_of_basis(a, bc):
+    d, p, q = a.dim, bc.p.rows, bc.p_inv.rows
+    entries = {}
+    for i in range(d):
+        for j in range(d):
+            w = [ZERO] * d
+            for aa in range(d):
+                for bb in range(d):
+                    for k, ck in a.row(aa, bb).items():
+                        w[k] = w[k] + p[i][aa] * p[j][bb] * ck
+            row = {}
+            for k in range(d):
+                acc = ZERO
+                for c in range(d):
+                    acc = acc + q[c][k] * w[c]
+                if not acc.is_zero():
+                    row[k] = acc
+            if row:
+                entries[(i, j)] = row
+    return StructureTable(d, a.labels, entries)
+
+
+def ref_is_derivation(a, d):
+    n = a.dim
+    cols = [[d.rows[r][s] for r in range(n)] for s in range(n)]
+    return all(d.apply([a.row(i, j).get(k, ZERO) for k in range(n)])
+               == [u + v for u, v in zip(ref_bracket(a, cols[i], a.basis_vector(j)),
+                                         ref_bracket(a, a.basis_vector(i), cols[j]))]
+               for i in range(n) for j in range(n))
+
+
+def ordered(t):
+    """The table's brackets with the order of rows and of their components."""
+    return [(key, list(row.items())) for key, row in t.c.items()]
+
+
+def seeded_change(dim, seed):
+    """An invertible change with rational or Gaussian entries, denominators 1 to 6."""
+    rng = random.Random(seed)
+    imaginary = rng.choice(((0,), (0, 0, 1, -2)))
+    while True:
+        rows = [[Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 6)), rng.choice(imaginary))
+                 for _ in range(dim)] for _ in range(dim)]
+        try:
+            return BasisChange(Matrix(rows, ncols=dim))
+        except ValueError:
+            continue
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_tables(), st.data())
+def test_integer_kernels_match_scalar_loops(table, data):
+    """bracket, mult_matrix, is_derivation, both series, is_ideal and
+    change_of_basis against the Scalar loops, over Q and over Q(i)."""
+    coefs = data.draw(st.sampled_from((rationals.map(Scalar), gaussians)))
+    x, y = (data.draw(st.lists(coefs, min_size=table.dim, max_size=table.dim))
+            for _ in range(2))
+    assert bracket(table, x, y) == ref_bracket(table, x, y)
+    for side in ("left", "right"):
+        m = mult_matrix(table, x, side)
+        assert m == ref_mult_matrix(table, x, side)
+        assert is_derivation(table, m) == ref_is_derivation(table, m)
+    lower, derived = lower_central_series(table), derived_series(table)
+    assert lower == ref_series(table, derived=False)
+    assert derived == ref_series(table, derived=True)
+    basis = [table.basis_vector(i) for i in range(table.dim)]
+    for s in lower + derived:
+        assert is_ideal(table, s) == all(s.contains(ref_bracket(table, e, u))
+                                         and s.contains(ref_bracket(table, u, e))
+                                         for u in s.mat.rows for e in basis)
+    bc = seeded_change(table.dim, data.draw(st.integers(0, 2 ** 32)))
+    assert ordered(change_of_basis(table, bc)) == ordered(ref_change_of_basis(table, bc))
+
+
+@pytest.mark.parametrize("name", ["T(4)", "member", "nonskew"])
+def test_series_match_on_leibniz_tables(name):
+    rng = random.Random(6)
+    source = {"T(4)": T4,
+              "member": build_extension(ExtensionSpec(3, 1, {
+                  "a1_12_12": Scalar(2), "a1_23_23": Scalar(-2), "a1_12_23": Scalar(3),
+                  "s11": Scalar(Fraction(1, 2), 1)})),
+              "nonskew": StructureTable(3, ["x", "y", "z"], {
+                  (0, 0): {2: ONE}, (0, 1): {1: ONE}, (1, 0): {1: -ONE}})}[name]
+    for table in (source, change_of_basis(source, gaussian_change(source.dim, rng))):
+        assert lower_central_series(table) == ref_series(table, derived=False)
+        assert derived_series(table) == ref_series(table, derived=True)
+
+
+# Slot-boundary tables.  The packed kernels choose their slot width from a
+# bound on every slot; these tables put a value at or next to that bound, so
+# a slot one bit narrower would wrap and carry into its neighbour.
+
+def residue_edge_table(s):
+    """Dimension 4, every entry s or -s; residue (0, 1, 2) has component 0
+    equal to 10 * s**2 (the bound is 3 * 4 = 12 times s**2) and -s**2 in
+    each of its other components."""
+    c = {}
+
+    def put(i, j, k, v):
+        c.setdefault((i, j), {})[k] = v
+    for m in range(4):
+        put(1, 2, m, s)
+        put(0, m, 0, s)
+        put(0, 2, m, s)
+        put(m, 1, 0, s)
+    for m in range(1, 4):
+        put(0, 1, m, -s)
+    for m in range(2, 4):
+        put(m, 2, 0, s)
+    return StructureTable(4, ["e0", "e1", "e2", "e3"], c)
+
+
+@pytest.mark.parametrize("s", [ONE, Scalar(3), Scalar(Fraction(-1, 2)),
+                               Scalar(0, Fraction(3, 2))])
+def test_residue_at_the_slot_bound(s):
+    table = residue_edge_table(s)
+    got = leibniz_residues(table)
+    assert as_pairs(got) == pair_residues(table)
+    comps = dict(got)[(0, 1, 2)]
+    assert comps[0] == Scalar(10) * s * s
+    assert all(comps[r] == -(s * s) for r in (1, 2, 3))
+
+
+HADAMARD = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+
+
+@pytest.mark.parametrize("m", [ONE, Scalar(3), Scalar(0, -2)])
+def test_transported_entry_at_the_slot_bound(m):
+    """P = H, P^-1 = H/4 and c_ab^c = m * h_ia h_jb h_ck: the new [e_i, e_j]
+    is d**3 * m * e_k over 4, every product of the d**3 at its bound."""
+    h = HADAMARD
+    i, j, k = 1, 2, 3
+    table = StructureTable(4, ["e0", "e1", "e2", "e3"], {
+        (a, b): {c: m * Scalar(h[i][a] * h[j][b] * h[c][k]) for c in range(4)}
+        for a in range(4) for b in range(4)})
+    bc = BasisChange(Matrix([[Scalar(x) for x in row] for row in h]))
+    moved = change_of_basis(table, bc)
+    assert ordered(moved) == [((i, j), [(k, Scalar(16) * m)])]
+    assert ordered(moved) == ordered(ref_change_of_basis(table, bc))
+    assert change_of_basis(moved, BasisChange(bc.p_inv)).same_brackets(table)
 
 
 def test_nonskew_table_is_leibniz_but_not_lie():

@@ -277,3 +277,14 @@ def test_main_exit_codes(tmp_path, capsys):
         run(["no-such-command"])
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["check", "--help"], ["series", "-h"], ["--help"]])
+def test_help_prints_one_json_object_in_structured_mode(argv, capsys):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: leibniz-lab")
+    assert main(argv + ["--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"command": argv[0] if argv[0] in ("check", "series") else None,
+                   "verdicts": {"help": text}, "artifacts": [], "exit_code": 0}

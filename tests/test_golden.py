@@ -1,0 +1,121 @@
+"""Byte identity of the scalar kernels' outputs on a fixed comparison set.
+
+The digest below is the sha256 of `golden_text()` as the code computed it
+before the kernels moved to integer arithmetic.  The text keeps every
+order the program produces (bracket rows, their components, residues and
+the components of each residue), so a change that only reorders output
+fails too.  The inputs come from the package's own seeded samplers
+(`sample_extension_specs`, `sample_l41_params`); a change to one of those
+samplers changes the text, and then the digest must be recomputed on the
+parent of that change.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+from leibniz_lab.algebra import (BasisChange, StructureTable, bracket,
+                                 change_of_basis, leibniz_residues,
+                                 mult_matrix, series_signature)
+from leibniz_lab.classify import (CanonicalForm, build_canonical, build_L41,
+                                  classify_L41, sample_l41_params)
+from leibniz_lab.extensions import build_extension, sample_extension_specs
+from leibniz_lab.linalg import Matrix
+from leibniz_lab.scalars import ONE, Scalar
+from leibniz_lab.triangular import triangular
+
+GOLDEN_SHA256 = "d2c49588cb6b61a667ac36b3bef86efd07cae6d8f684fb1ec8199cb99aa93108"
+
+
+def table_text(t: StructureTable) -> str:
+    return repr([(key, [(k, str(c)) for k, c in row.items()]) for key, row in t.c.items()])
+
+
+def rows_text(rows) -> str:
+    return repr([[str(c) for c in row] for row in rows])
+
+
+def integer_change(dim: int, rng: random.Random) -> BasisChange:
+    while True:
+        rows = [[Scalar(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
+        try:
+            return BasisChange(Matrix(rows, ncols=dim))
+        except ValueError:
+            continue
+
+
+def gaussian_change(dim: int, rng: random.Random) -> BasisChange:
+    while True:
+        rows = [[Scalar(Fraction(rng.randint(-1, 1), rng.choice((1, 1, 2))),
+                        rng.choice((0, 0, 0, 1)))
+                 for _ in range(dim)] for _ in range(dim)]
+        try:
+            return BasisChange(Matrix(rows, ncols=dim))
+        except ValueError:
+            continue
+
+
+def spoiled(t: StructureTable, rng: random.Random) -> StructureTable:
+    entries = {key: dict(row) for key, row in t.c.items()}
+    key = rng.choice(sorted(entries))
+    k = rng.choice(sorted(entries[key]))
+    entries[key][k] = entries[key][k] + Scalar(Fraction(1, rng.choice((1, 5, 7))),
+                                               rng.choice((0, 1)))
+    return StructureTable(t.dim, t.labels, entries)
+
+
+def pool() -> list:
+    S = Scalar
+    tables = [
+        ("T(4)", triangular(4)),
+        ("T(5)", triangular(5)),
+        ("L1", build_canonical(CanonicalForm("L1", {"a_12_24": S(2), "b_12_14": ONE,
+                                                    "s_14": S(3)}))),
+        ("L2", build_canonical(CanonicalForm("L2", {"a_23_14": S(2), "b_23_14": S(-1),
+                                                    "s_14": S(Fraction(1, 2))}))),
+        ("L3", build_canonical(CanonicalForm("L3", {"a_23_23": S(2, 1)}))),
+        ("L42", build_canonical(CanonicalForm("L42", {"s11": ONE, "s12": S(2),
+                                                      "s21": S(-1), "s22": S(0, 3)}))),
+    ]
+    for f in (1, 2, 3):
+        for k, spec in enumerate(sample_extension_specs(4, f, 1, seed=70 + f)):
+            tables.append((f"member(4,{f})#{k}", build_extension(spec, verify=False)))
+    return tables
+
+
+def analysis_lines(name: str, t: StructureTable, rng: random.Random) -> list:
+    lines = [f"{name} table {table_text(t)}",
+             f"{name} residues {leibniz_residues(t)!r}",
+             f"{name} signature {series_signature(t)!r}"]
+    bad = spoiled(t, rng)
+    lines.append(f"{name} spoiled residues {leibniz_residues(bad)!r}")
+    x = [Scalar(rng.randint(-2, 2), rng.choice((0, 1))) for _ in range(t.dim)]
+    y = [Scalar(Fraction(rng.randint(-2, 2), 3)) for _ in range(t.dim)]
+    lines.append(f"{name} bracket {[str(c) for c in bracket(t, x, y)]!r}")
+    for side in ("left", "right"):
+        lines.append(f"{name} {side} {rows_text(mult_matrix(t, x, side).rows)}")
+    return lines
+
+
+def golden_text() -> str:
+    rng = random.Random(2024)
+    lines = []
+    for name, t in pool():
+        lines += analysis_lines(name, t, rng)
+        for kind, change in (("int", integer_change), ("gauss", gaussian_change)):
+            bc = change(t.dim, rng)
+            lines += analysis_lines(f"{name} {kind}", change_of_basis(t, bc), rng)
+    for k, p in enumerate(sample_l41_params(40, seed=41)):
+        got = classify_L41(p)
+        source = build_L41(p)
+        lines.append(f"L41#{k} source {table_text(source)}")
+        lines.append(f"L41#{k} case {got.case} {got.form.id} "
+                     f"{sorted((n, str(v)) for n, v in got.form.params.items())!r}")
+        lines.append(f"L41#{k} witness {rows_text(got.witness.p.rows)}")
+        lines.append(f"L41#{k} canonical {table_text(build_canonical(got.form))}")
+        lines.append(f"L41#{k} moved {table_text(change_of_basis(source, got.witness))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_outputs_match_the_golden_digest():
+    assert hashlib.sha256(golden_text().encode()).hexdigest() == GOLDEN_SHA256
