@@ -326,32 +326,40 @@ def _bracket_span(view: _IntView, d: int, u: Subspace, v: Subspace) -> Subspace:
     vs = [_sparse_ints(y)[1] for y in v.mat.rows]
     for xs, ys in product([_sparse_ints(x)[1] for x in u.mat.rows], vs):
         re, im = _bracket_ints(view.grid, xs, ys, d)
-        acc.add({k: Scalar(r, t) for k, (r, t) in enumerate(zip(re, im)) if r or t})
-        if acc.dim == u.dim:
+        row = {k: Scalar(r, t) for k, (r, t) in enumerate(zip(re, im)) if r or t}
+        if row and acc.add(row) and acc.dim == u.dim:
             break
     return acc.to_subspace()
 
 
-def _series(a: StructureTable, derived: bool) -> list:
-    view = _IntView(a, "series")
-    terms = [Subspace.full(a.dim)]
-    while terms[-1].dim:
-        prev = terms[-1]
-        nxt = _bracket_span(view, a.dim, prev, prev if derived else terms[0])
-        if nxt.dim >= prev.dim:     # equal, by the argument at _bracket_span
-            break
+def _series(view: _IntView, square: Subspace, derived: bool) -> list:
+    """The series from L and its second term square = [L, L]."""
+    d = square.ambient
+    terms = [Subspace.full(d)]
+    nxt = square
+    while nxt.dim < terms[-1].dim:      # equal ends it, by the argument at _bracket_span
         terms.append(nxt)
+        if not nxt.dim:
+            break
+        nxt = _bracket_span(view, d, nxt, nxt if derived else terms[0])
     return terms
+
+
+def _square(a: StructureTable) -> tuple:
+    """(view, [L, L]) for the series."""
+    view = _IntView(a, "series")
+    full = Subspace.full(a.dim)
+    return view, _bracket_span(view, a.dim, full, full)
 
 
 def lower_central_series(a: StructureTable) -> list:
     """Terms L, [L,L], [[L,L],L], ... until stabilization or zero."""
-    return _series(a, derived=False)
+    return _series(*_square(a), derived=False)
 
 
 def derived_series(a: StructureTable) -> list:
     """Terms L, [L,L], [[L,L],[L,L]], ... until stabilization or zero."""
-    return _series(a, derived=True)
+    return _series(*_square(a), derived=True)
 
 
 def is_nilpotent(a: StructureTable) -> bool:
@@ -363,10 +371,11 @@ def is_solvable(a: StructureTable) -> bool:
 
 
 def series_signature(a: StructureTable) -> tuple:
-    """Dimension sequences of both series; invariant under basis change."""
-    lc = tuple(s.dim for s in lower_central_series(a))
-    dv = tuple(s.dim for s in derived_series(a))
-    return (lc, dv)
+    """Dimension sequences of both series; invariant under basis change.
+    [L, L], the second term of both, is built once."""
+    view, square = _square(a)
+    return tuple(tuple(s.dim for s in _series(view, square, derived))
+                 for derived in (False, True))
 
 
 def right_annihilator(a: StructureTable) -> Subspace:
@@ -433,6 +442,14 @@ def derivation_algebra(a: StructureTable) -> Subspace:
     n = a.dim
     if n == 0:
         return Subspace.full(0)
+    # right[(j, k)]: the (r, c_rjk) with c_rjk != 0; left[(i, k)]: the (r, c_irk);
+    # built from the sorted table, so each list runs over r in increasing order
+    right: dict = {}
+    left: dict = {}
+    for (r, s), row in sorted(a.c.items()):
+        for k, c in row.items():
+            right.setdefault((s, k), []).append((r, c))
+            left.setdefault((r, k), []).append((s, c))
 
     def rows():
         for i in range(n):
@@ -443,16 +460,12 @@ def derivation_algebra(a: StructureTable) -> Subspace:
                     for s, c in cij.items():
                         row[k * n + s] = row.get(k * n + s, ZERO) + c
                     # [d(ei), ej] contributes c_{rjk} * D[r][i]
-                    for r in range(n):
-                        c = a.row(r, j).get(k)
-                        if c is not None:
-                            col = r * n + i
-                            row[col] = row.get(col, ZERO) - c
-                    for r in range(n):
-                        c = a.row(i, r).get(k)
-                        if c is not None:
-                            col = r * n + j
-                            row[col] = row.get(col, ZERO) - c
+                    for r, c in right.get((j, k), ()):
+                        col = r * n + i
+                        row[col] = row.get(col, ZERO) - c
+                    for r, c in left.get((i, k), ()):
+                        col = r * n + j
+                        row[col] = row.get(col, ZERO) - c
                     nz = {c: v for c, v in row.items() if not v.is_zero()}
                     if nz:
                         yield nz

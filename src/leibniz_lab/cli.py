@@ -13,9 +13,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .algebra import (TableChecks, derivation_algebra, derived_series,
-                      load_table, lower_central_series, save_table, dumps_table,
-                      table_to_document)
+from .algebra import (TableChecks, derivation_algebra, dumps_table, load_table,
+                      save_table, series_signature, table_to_document)
 from .classify import CanonicalForm, L41Params, build_canonical, classify_L41
 from .extensions import (ExtensionSpec, build_extension, derive_relations,
                          verify_corner_annihilation, verify_max_extension_is_lie)
@@ -234,12 +233,11 @@ def cmd_check(args) -> Report:
 
 def cmd_series(args) -> Report:
     table = _load(args.file)
-    lc = lower_central_series(table)
-    dv = derived_series(table)
+    lc, dv = series_signature(table)
     verdicts = {
         "dim": table.dim,
-        "lower_central_dims": [s.dim for s in lc],
-        "derived_dims": [s.dim for s in dv],
+        "lower_central_dims": list(lc),
+        "derived_dims": list(dv),
     }
     return Report("series", verdicts)
 
@@ -355,6 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse keeps no state between parses, so one parser serves every call.
+PARSER = build_parser()
+
+
 def _emit(report: Report, fmt: str) -> None:
     if fmt == "structured":
         doc = {"command": report.command, "verdicts": report.verdicts,
@@ -388,7 +390,7 @@ def run(argv=None) -> Report:
     structured = _requested_format(argv) == "structured"
     command = argv[0] if argv and argv[0] in HANDLERS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except _HelpRequested as exc:
         if structured:
             _emit(Report(command, {"help": exc.args[0]}, [], 0), "structured")

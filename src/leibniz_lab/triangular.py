@@ -29,13 +29,6 @@ def pair_index(n: int, i: int, j: int) -> int:
     return (g - 1) * n - (g - 1) * g // 2 + (i - 1)
 
 
-def pair_of_index(n: int, idx: int) -> tuple:
-    d = n * (n - 1) // 2
-    if not (0 <= idx < d):
-        raise ValueError(f"index {idx} out of range for n={n}")
-    return pairs(n)[idx]
-
-
 def pair_label(n: int, i: int, j: int) -> str:
     if not (1 <= i < j <= n):
         raise ValueError(f"pair ({i},{j}) out of range for n={n}")
@@ -206,20 +199,6 @@ def nil_independent_count(diags) -> int:
     for v in diags:
         acc.add(v)
     return acc.dim
-
-
-def is_nilpotent_matrix(m: Matrix) -> bool:
-    """Fallback nilpotency test by repeated squaring (no shape assumed)."""
-    if m.nrows != m.ncols:
-        raise ValueError("nilpotency test needs a square matrix")
-    if m.nrows == 0:
-        return True
-    power = m
-    k = 1
-    while k < m.nrows:
-        power = power * power
-        k *= 2
-    return all(e.is_zero() for row in power.rows for e in row)
 
 
 def count_offdiagonal(m: Matrix) -> int:

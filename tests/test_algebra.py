@@ -17,7 +17,8 @@ from leibniz_lab.algebra import (POLY, BasisChange, StructureTable, TableChecks,
                                  mult_matrix, right_annihilator, save_table,
                                  series_signature, table_from_document,
                                  table_to_document)
-from leibniz_lab.linalg import Matrix, RrefAccumulator, Subspace, span
+from leibniz_lab.linalg import (Matrix, RrefAccumulator, Subspace,
+                                kernel_of_sparse_rows, span)
 from leibniz_lab.extensions import ExtensionSpec, build_extension
 from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
 from leibniz_lab.triangular import triangular
@@ -403,6 +404,29 @@ def test_nilpotent_and_solvable():
     assert checks.signature == ((6, 3, 1, 0), (6, 3, 0))
 
 
+def spoiled_t5():
+    entries = dict(triangular(5).c)
+    entries[(0, 1)] = {4: sc(3)}
+    return StructureTable(10, triangular(5).labels, entries)
+
+
+@pytest.mark.parametrize("table, leibniz", [
+    (StructureTable(3, ["x", "y", "z"], {(0, 0): {2: ONE}, (0, 1): {1: ONE},
+                                         (1, 0): {1: -ONE}}), True),
+    (spoiled_t5(), False),
+    (StructureTable(0, [], {}), True),
+    (triangular(5), True),
+], ids=["nonskew", "spoiled T(5)", "zero", "T(5)"])
+def test_series_signature_matches_the_separate_series(table, leibniz):
+    """series_signature builds [L, L] once for both series."""
+    assert is_leibniz(table) == leibniz
+    lower, derived = series_signature(table)
+    assert lower == tuple(s.dim for s in lower_central_series(table))
+    assert derived == tuple(s.dim for s in derived_series(table))
+    assert lower == tuple(s.dim for s in ref_series(table, derived=False))
+    assert derived == tuple(s.dim for s in ref_series(table, derived=True))
+
+
 def test_table_checks_agree_with_the_single_analyses():
     nonskew = StructureTable(2, ["e", "z"], {(0, 0): {1: ONE}})
     entries = dict(T4.c)
@@ -430,8 +454,45 @@ def test_derived_subalgebra_is_an_ideal():
 
 def test_derivation_algebra_dims():
     # dimension follows (n^2 + 3n - 6) / 2 for the triangular family
-    assert derivation_algebra(triangular(3)).dim == 6
-    assert derivation_algebra(T4).dim == 11
+    for n in range(3, 8):
+        assert derivation_algebra(triangular(n)).dim == (n * n + 3 * n - 6) // 2
+
+
+def ref_derivation_rows(a):
+    """The derivation conditions, each c_rjk and c_irk looked up by scanning r."""
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            cij = a.row(i, j)
+            for k in range(n):
+                row = {}
+                for s, c in cij.items():
+                    row[k * n + s] = row.get(k * n + s, ZERO) + c
+                for r in range(n):
+                    c = a.row(r, j).get(k)
+                    if c is not None:
+                        row[r * n + i] = row.get(r * n + i, ZERO) - c
+                for r in range(n):
+                    c = a.row(i, r).get(k)
+                    if c is not None:
+                        row[r * n + j] = row.get(r * n + j, ZERO) - c
+                nz = {c: v for c, v in row.items() if not v.is_zero()}
+                if nz:
+                    yield nz
+
+
+def is_skew(a):
+    return all(a.row(i, j).get(k, ZERO) + a.row(j, i).get(k, ZERO) == ZERO
+               for i in range(a.dim) for j in range(a.dim) for k in range(a.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tables().filter(lambda t: not is_skew(t)))
+def test_derivation_algebra_matches_the_scanning_rows(table):
+    """Off the skew tables the left and right actions differ by more than a
+    sign, so mixing up c_rjk and c_irk changes the kernel."""
+    want = kernel_of_sparse_rows(ref_derivation_rows(table), table.dim ** 2)
+    assert derivation_algebra(table).mat.rows == want.mat.rows
 
 
 def test_derivation_algebra_members_check_out():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from leibniz_lab import cli
 from leibniz_lab.algebra import StructureTable, load_table, save_table
 from leibniz_lab.cli import MAX_TRIANGULAR_N, main, read_params, run
 from leibniz_lab.scalars import Scalar
@@ -120,6 +121,20 @@ def test_series_output(tmp_path):
     assert report.exit_code == 0
     assert report.verdicts["lower_central_dims"] == [6, 3, 1, 0]
     assert report.verdicts["derived_dims"] == [6, 3, 0]
+
+
+def test_series_and_check_report_the_same_dims(tmp_path, extension_file):
+    t5 = triangular(5)
+    entries = dict(t5.c)
+    entries[(0, 1)] = {4: Scalar(3)}
+    paths = [extension_file, str(tmp_path / "t5.json"), str(tmp_path / "bad.json")]
+    save_table(t5, paths[1])
+    save_table(StructureTable(10, t5.labels, entries), paths[2])
+    for path in paths:
+        series, check = run(["series", path]).verdicts, run(["check", path]).verdicts
+        for key in ("lower_central_dims", "derived_dims"):
+            assert series[key] == check[key]
+    assert check["leibniz"] is False
 
 
 def test_derivations_output(tmp_path):
@@ -288,3 +303,44 @@ def test_help_prints_one_json_object_in_structured_mode(argv, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"command": argv[0] if argv[0] in ("check", "series") else None,
                    "verdicts": {"help": text}, "artifacts": [], "exit_code": 0}
+
+
+# -- one parser for every call -----------------------------------------------
+
+def test_the_shared_parser_keeps_nothing_between_calls(monkeypatch, extension_file, capsys):
+    seen = []
+
+    def recording(handler):
+        def record(args):
+            seen.append(vars(args))
+            return handler(args)
+        return record
+
+    for name in ("series", "verify"):
+        monkeypatch.setitem(cli.HANDLERS, name, recording(cli.HANDLERS[name]))
+    calls = [
+        (["series", extension_file, "--seed", "5"], 0),
+        (["series", extension_file], 0),
+        (["verify", "--lemma", "3.1", "--n", "3", "--f", "2"], 0),
+        (["verify", "--eq", "3", extension_file], 0),
+        (["series", extension_file, "--seed", "9", "--format"], 2),     # usage error
+        (["series", extension_file], 0),
+        (["verify", "--lemma", "3.2", "--n", "4", "--f", "3", "--help"], 0),
+        (["verify", "--eq", "3", extension_file], 0),
+    ]
+    for argv, code in calls:
+        assert main(argv) == code
+    capsys.readouterr()
+    assert [(s["command"], s["seed"], s.get("f")) for s in seen] == [
+        ("series", 5, None), ("series", 0, None), ("verify", 0, 2), ("verify", 0, 1),
+        ("series", 0, None), ("verify", 0, 1)]
+    assert seen[-1]["lemma"] is None and seen[-1]["n"] is None
+    ran = [argv for argv, code in calls if code == 0 and "--help" not in argv]
+    assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in ran]
+
+    def no_parser():
+        raise AssertionError("run built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert main(["series", extension_file]) == 0
+    capsys.readouterr()

@@ -10,9 +10,9 @@ from leibniz_lab.scalars import ONE, ZERO, Scalar
 from leibniz_lab.triangular import (allowed_offdiagonal, check_structure_shape,
                                     corner_index, count_offdiagonal,
                                     diagonal_vector, generator_label,
-                                    is_nilpotent_matrix, nil_independent_count,
-                                    pair_index, pair_label, pair_of_index,
-                                    pairs, structure_matrices, triangular)
+                                    nil_independent_count, pair_index,
+                                    pair_label, pairs, structure_matrices,
+                                    triangular)
 
 
 def sc(x):
@@ -27,7 +27,6 @@ def test_pair_index_round_trip():
     for n in (3, 4, 5, 7):
         for idx, (i, j) in enumerate(pairs(n)):
             assert pair_index(n, i, j) == idx
-            assert pair_of_index(n, idx) == (i, j)
 
 
 def test_pair_index_oracles():
@@ -42,8 +41,6 @@ def test_pair_errors():
         pair_index(4, 2, 2)
     with pytest.raises(ValueError):
         pair_index(4, 3, 2)
-    with pytest.raises(ValueError):
-        pair_of_index(4, 6)
     with pytest.raises(ValueError):
         pair_label(4, 4, 1)
 
@@ -150,14 +147,6 @@ def test_nil_independent_count():
     assert nil_independent_count([[sc(1), sc(0), sc(0)],
                                   [sc(0), sc(1), sc(0)],
                                   [sc(1), sc(1), sc(0)]]) == 2
-
-
-def test_is_nilpotent_matrix():
-    strict = Matrix([[ZERO, ONE], [ZERO, ZERO]], ncols=2)
-    assert is_nilpotent_matrix(strict)
-    assert not is_nilpotent_matrix(Matrix.identity(2))
-    with pytest.raises(ValueError):
-        is_nilpotent_matrix(Matrix.zeros(2, 3))
 
 
 def test_count_offdiagonal():
