@@ -18,10 +18,10 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import POLY, StructureTable, is_lie, leibniz_residues
-from .linalg import Matrix, RrefAccumulator, sparse_kernel_basis
+from .linalg import Matrix, RrefAccumulator
 from .scalars import ONE, ZERO, Poly, Scalar
-from .symsolve import (LinearSpan, poly_combination, random_combination,
-                       random_scalar, solution_point)
+from .symsolve import (LinearSpan, equation_rref, poly_combination,
+                       random_kernel_vector, random_scalar)
 from .triangular import (allowed_offdiagonal, corner_index, generator_label,
                          nil_independent_count, pair_index, pairs, triangular)
 
@@ -285,8 +285,9 @@ def derive_relations(n: int, f: int, seed: int = 0,
     degree <= 1 element of the scalar span of the residue coefficients, then
     substitute the solved relations back into the original residues.  What
     survives substitution must be homogeneous quadratic; those leftovers are
-    compared against the stated parameter products on the zero-trace slice,
-    with seeded on-variety sampling backing the span containments.
+    compared against the stated parameter products on the zero-trace slice.
+    Seeded points on the stated products' zero set then check the covered
+    leftovers; that is a consistency check of the points, not a proof.
     """
     _check_rank(n, f)
     if n > 6:
@@ -316,9 +317,8 @@ def derive_relations(n: int, f: int, seed: int = 0,
     unexplained_linear = tuple(p for p in derived if not expected_span.contains(p))
     missing_linear = tuple(p for p in expected if not span.contains(p))
     matches = not unexplained_linear and not missing_linear
-    if matches:
-        sub = dict(expected_sub)
-        current = [p.substitute(sub) for p in base_polys]
+    if matches and sub != expected_sub:
+        current = [p.substitute(expected_sub) for p in base_polys]
 
     leftovers_low = []
     quadratics = []
@@ -348,26 +348,13 @@ def derive_relations(n: int, f: int, seed: int = 0,
         else:
             extras.append(q)
 
-    rng = random.Random(seed)
     names: set = set()
     for q in list(residual_flat) + stated_flat:
         names |= q.indeterminates()
-    variables = sorted(names)
-    points = 0
-    sampling_ok = True
-    if variables:
-        factor_pairs = [(weight.substitute(flat), form) for weight, form in factors]
-        for _ in range(sample_points):
-            chosen = [rng.choice(pair) for pair in factor_pairs]
-            chosen = [c for c in chosen if c.indeterminates() <= set(variables)]
-            point = solution_point(chosen, variables, rng)
-            for q in stated_flat:
-                if not q.evaluate(point).is_zero():
-                    raise RuntimeError("sample point escaped the restriction variety")
-            for q in covered:
-                if not q.evaluate(point).is_zero():
-                    sampling_ok = False
-            points += 1
+    factor_pairs = [(weight.substitute(flat), form) for weight, form in factors]
+    points, sampling_ok = _sample_stated_variety(
+        factor_pairs, stated_flat, covered, sorted(names), sample_points,
+        random.Random(seed))
 
     return ResidueReport(
         n=n, f=f, seed=seed,
@@ -386,6 +373,36 @@ def derive_relations(n: int, f: int, seed: int = 0,
         sample_points=points,
         sampling_ok=sampling_ok,
     )
+
+
+def _sample_stated_variety(factor_pairs: Sequence[tuple], stated: Sequence[Poly],
+                           covered: Sequence[Poly], variables: Sequence[str],
+                           count: int, rng: random.Random) -> tuple:
+    """(points drawn, whether every `covered` quadratic vanished at them).
+
+    Each point zeroes one randomly chosen factor of every pair, so it lies
+    on the zero set of the `stated` products; one that does not raises
+    RuntimeError.  The equations' RREF is built once per factor-choice
+    pattern and kept for this call only.  No variables means no points.
+    """
+    if not variables:
+        return 0, True
+    known = set(variables)
+    systems: dict = {}
+    ok = True
+    for _ in range(count):
+        pattern = tuple(rng.choice((0, 1)) for _ in factor_pairs)
+        acc = systems.get(pattern)
+        if acc is None:
+            chosen = [pair[k] for pair, k in zip(factor_pairs, pattern)
+                      if pair[k].indeterminates() <= known]
+            acc = systems[pattern] = equation_rref(chosen, variables)
+        point = dict(zip(variables, random_kernel_vector(acc, rng)))
+        if any(not q.evaluate(point).is_zero() for q in stated):
+            raise RuntimeError("sample point escaped the restriction variety")
+        if ok and any(not q.evaluate(point).is_zero() for q in covered):
+            ok = False
+    return count, ok
 
 
 @lru_cache(maxsize=None)
@@ -627,7 +644,7 @@ def _solve_with_diagonal(n: int, f: int, vecs: Sequence[Sequence[Scalar]],
     diag = {name: v for al in range(1, f + 1)
             for name, v in zip(diagonal_names(n, f, al), vecs[al - 1])}
     rest, rows = _compiled_residue_rows(n, f)
-    sparse = []
+    acc = RrefAccumulator(len(rest))
     for constants, cells in rows:
         total = ZERO
         for x, y, coeff in constants:
@@ -646,10 +663,8 @@ def _solve_with_diagonal(n: int, f: int, vecs: Sequence[Sequence[Scalar]],
             if not s.is_zero():
                 row[col] = s
         if row:
-            sparse.append(row)
-    basis = sparse_kernel_basis(sparse, len(rest))
-    vec = random_combination(basis, len(rest), rng)
-    point = {v: vec[k] for k, v in enumerate(rest)}
+            acc.add(row)
+    point = dict(zip(rest, random_kernel_vector(acc, rng)))
     point.update(diag)
     return point
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, RrefAccumulator, Subspace, kernel_of_sparse_rows
+from .linalg import Matrix, RrefAccumulator
 from .scalars import ONE, ZERO, Poly, Scalar
 
 
@@ -98,11 +98,10 @@ def poly_combination(generators: Sequence[Poly], target: Poly):
         return None
 
 
-def solution_point(polys: Iterable[Poly], variables: Sequence[str],
-                   rng: random.Random) -> dict:
-    """A random exact point in the common zero set of linear equations."""
+def equation_rref(polys: Iterable[Poly], variables: Sequence[str]) -> RrefAccumulator:
+    """RREF of homogeneous linear equations, one column per variable in order."""
     pos = {v: k for k, v in enumerate(variables)}
-    rows = []
+    acc = RrefAccumulator(len(variables))
     for p in polys:
         sparse = {}
         for mon, coeff in p.terms.items():
@@ -112,10 +111,48 @@ def solution_point(polys: Iterable[Poly], variables: Sequence[str],
             if name not in pos:
                 raise ValueError(f"{p} uses an indeterminate outside the given list: {name}")
             sparse[pos[name]] = coeff
-        rows.append(sparse)
-    ker = kernel_of_sparse_rows(rows, len(variables))
-    vec = random_member(ker, rng)
-    return {v: vec[k] for k, v in enumerate(variables)}
+        acc.add(sparse)
+    return acc
+
+
+def random_kernel_vector(acc: RrefAccumulator, rng: random.Random,
+                         tries: int = 8) -> list:
+    """Random null space element of acc's rows, biased away from zero.
+
+    One `randint(-5, 5)` per free column, in column order, is that
+    coordinate, and each pivot coordinate is minus its row applied to them:
+    the combination of `acc.kernel_basis()` with those coefficients, built
+    in O(nonzeros).  A round of all-zero draws is redrawn, up to `tries`
+    rounds; after that the first basis vector stands in.  A zero null space
+    gives zeros without a draw.
+    """
+    free = [c for c in range(acc.ambient) if c not in acc.pivots]
+    vec = [ZERO] * acc.ambient
+    if not free:
+        return vec
+    for _ in range(tries):
+        draws = [rng.randint(-5, 5) for _ in free]
+        if any(draws):
+            break
+    else:
+        draws = [1] + [0] * (len(free) - 1)
+    values = {c: Scalar(k) for c, k in zip(free, draws) if k}
+    for c, x in values.items():
+        vec[c] = x
+    for p, row in acc.pivots.items():
+        total = ZERO
+        for c, e in row.items():
+            x = values.get(c)
+            if x is not None:
+                total = total - e * x
+        vec[p] = total
+    return vec
+
+
+def solution_point(polys: Iterable[Poly], variables: Sequence[str],
+                   rng: random.Random) -> dict:
+    """A random exact point in the common zero set of linear equations."""
+    return dict(zip(variables, random_kernel_vector(equation_rref(polys, variables), rng)))
 
 
 def random_scalar(rng: random.Random, lo: int = -9, hi: int = 9) -> Scalar:
@@ -130,29 +167,3 @@ def random_nonzero_scalar(rng: random.Random, lo: int = -9, hi: int = 9) -> Scal
         s = random_scalar(rng, lo, hi)
         if not s.is_zero():
             return s
-
-
-def random_combination(rows: Sequence[Sequence[Scalar]], ambient: int,
-                       rng: random.Random, tries: int = 8) -> list:
-    """Random combination of independent rows, biased away from zero."""
-    if not rows:
-        return [ZERO] * ambient
-    for attempt in range(tries):
-        coeffs = [Scalar(Fraction(rng.randint(-5, 5))) for _ in range(len(rows))]
-        if all(c.is_zero() for c in coeffs) and attempt + 1 < tries:
-            continue
-        vec = [ZERO] * ambient
-        for c, row in zip(coeffs, rows):
-            if c.is_zero():
-                continue
-            for k, e in enumerate(row):
-                if not e.is_zero():
-                    vec[k] = vec[k] + c * e
-        if any(not x.is_zero() for x in vec):
-            return vec
-    return list(rows[0])
-
-
-def random_member(sub: Subspace, rng: random.Random, tries: int = 8) -> list:
-    """Random combination of the basis rows, biased away from zero."""
-    return random_combination(sub.mat.rows, sub.ambient, rng, tries)

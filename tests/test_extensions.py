@@ -1,17 +1,19 @@
 """Generic extension families, forced relations, and exact sampling."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from leibniz_lab.algebra import is_leibniz, is_lie, leibniz_residues
-from leibniz_lab.extensions import (ExtensionSpec, a_name, b_name,
+from leibniz_lab.extensions import (ExtensionSpec, _sample_stated_variety,
+                                    _tracefree_substitution, a_name, b_name,
                                     build_extension, derive_relations,
                                     diagonal_names, expected_relation_forms,
                                     expected_substitution, generic_extension,
                                     linear_forms_in_span, master_param_names,
                                     maximal_extension_spec, reduced_extension,
-                                    s_name, sample_extension_specs, sigma_param,
+                                    restriction_factors, s_name, sample_extension_specs, sigma_param,
                                     solve_linear_forms, stated_restrictions,
                                     verify_corner_annihilation,
                                     verify_max_extension_is_lie)
@@ -141,6 +143,30 @@ def test_derive_relations_quadratic_layer():
     assert len(derive_relations(3, 1).extra_quadratics) == 2
     assert len(derive_relations(3, 2).extra_quadratics) == 11
     assert len(derive_relations(4, 2).extra_quadratics) == 9
+
+
+def test_the_sampler_can_fail():
+    """Points off the stated products' zero set raise; an extra is caught."""
+    flat = _tracefree_substitution(4, 2)
+    pairs = [(weight.substitute(flat), form) for weight, form in restriction_factors(4, 2)]
+    stated = [weight * form for weight, form in pairs]
+    extra = Poly.var(a_name(4, 1, (1, 2), (1, 2))) * Poly.var(b_name(4, 2, (1, 2), (1, 4)))
+    assert extra in derive_relations(4, 2).extra_quadratics
+    names = set()
+    for q in stated + [extra]:
+        names |= q.indeterminates()
+    variables = sorted(names)
+
+    def sample(stated, covered):
+        return _sample_stated_variety(pairs, stated, covered, variables, 100,
+                                      random.Random(1))
+
+    assert sample(stated, stated) == (100, True)
+    assert sample(stated, [extra]) == (100, False)
+    with pytest.raises(RuntimeError, match="escaped the restriction variety"):
+        sample(stated + [extra], [])
+    assert _sample_stated_variety(pairs, stated, [extra], [], 100,
+                                  random.Random(1)) == (0, True)
 
 
 def test_derive_relations_cap():

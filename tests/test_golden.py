@@ -8,6 +8,10 @@ fails too.  The inputs come from the package's own seeded samplers
 (`sample_extension_specs`, `sample_l41_params`); a change to one of those
 samplers changes the text, and then the digest must be recomputed on the
 parent of that change.
+
+The second digest pins the `repr` of every `derive_relations` report on the
+`relations` benchmark grid for seeds 1 and 3, as computed before the
+sampler drew its points from one sparse RREF per factor-choice pattern.
 """
 
 import hashlib
@@ -19,12 +23,15 @@ from leibniz_lab.algebra import (BasisChange, StructureTable, bracket,
                                  mult_matrix, series_signature)
 from leibniz_lab.classify import (CanonicalForm, build_canonical, build_L41,
                                   classify_L41, sample_l41_params)
-from leibniz_lab.extensions import build_extension, sample_extension_specs
+from leibniz_lab.extensions import (build_extension, derive_relations,
+                                    sample_extension_specs)
 from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import ONE, Scalar
 from leibniz_lab.triangular import triangular
 
 GOLDEN_SHA256 = "d2c49588cb6b61a667ac36b3bef86efd07cae6d8f684fb1ec8199cb99aa93108"
+RELATIONS_SHA256 = "950d029c01185f2f307130209d382979bbfd102fd05f6201acaca83590d7cbda"
+RELATION_GRID = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2))
 
 
 def table_text(t: StructureTable) -> str:
@@ -119,3 +126,12 @@ def golden_text() -> str:
 
 def test_outputs_match_the_golden_digest():
     assert hashlib.sha256(golden_text().encode()).hexdigest() == GOLDEN_SHA256
+
+
+def relations_text() -> str:
+    return "".join(f"{derive_relations(n, f, seed=seed)!r}\n"
+                   for seed in (1, 3) for n, f in RELATION_GRID)
+
+
+def test_relation_reports_match_the_golden_digest():
+    assert hashlib.sha256(relations_text().encode()).hexdigest() == RELATIONS_SHA256

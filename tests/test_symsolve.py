@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leibniz_lab.linalg import Matrix, Subspace
+from leibniz_lab.linalg import Matrix, RrefAccumulator, Subspace
 from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
 from leibniz_lab.symsolve import (LinearSpan, affine_solve, poly_combination,
-                                  random_member, random_nonzero_scalar,
+                                  random_kernel_vector, random_nonzero_scalar,
                                   random_scalar, solution_point)
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
@@ -79,9 +80,74 @@ def test_random_helpers_are_seeded():
     assert not random_nonzero_scalar(random.Random(3)).is_zero()
 
 
-def test_random_member_spans_only_the_subspace():
-    sub = Subspace.from_vectors([[ONE, ONE, ZERO]], ambient=3)
-    vec = random_member(sub, random.Random(2))
-    assert vec[0] == vec[1] and vec[2].is_zero()
-    zero = random_member(Subspace.zero(3), random.Random(2))
-    assert zero == [ZERO, ZERO, ZERO]
+def dense_random_combination(rows, ambient, rng, tries=8):
+    """The dense draw `random_kernel_vector` replaced, kept as its oracle."""
+    if not rows:
+        return [ZERO] * ambient
+    for attempt in range(tries):
+        coeffs = [Scalar(Fraction(rng.randint(-5, 5))) for _ in range(len(rows))]
+        if all(c.is_zero() for c in coeffs) and attempt + 1 < tries:
+            continue
+        vec = [ZERO] * ambient
+        for c, row in zip(coeffs, rows):
+            if c.is_zero():
+                continue
+            for k, e in enumerate(row):
+                if not e.is_zero():
+                    vec[k] = vec[k] + c * e
+        if any(not v.is_zero() for v in vec):
+            return vec
+    return list(rows[0])
+
+
+class ZeroDraws(random.Random):
+    """A generator whose integer draws are all zero: the fallback path."""
+
+    def randint(self, a, b):
+        return 0
+
+
+gaussians = st.builds(Scalar, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                      st.sampled_from((0, 0, 0, 1, -2)))
+
+
+@st.composite
+def accumulators(draw):
+    ncols = draw(st.integers(0, 7))
+    cells = st.dictionaries(st.integers(0, max(ncols - 1, 0)), gaussians, max_size=ncols)
+    acc = RrefAccumulator(ncols)
+    for row in draw(st.lists(cells, max_size=ncols + 1)):
+        acc.add(row)
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(accumulators(), st.integers(0, 2 ** 32), st.booleans())
+def test_random_kernel_vector_matches_the_dense_combination(acc, seed, zeros):
+    make = ZeroDraws if zeros else random.Random
+    rng, ref = make(seed), make(seed)
+    vec = random_kernel_vector(acc, rng)
+    assert vec == dense_random_combination(acc.kernel_basis(), acc.ambient, ref)
+    assert rng.getstate() == ref.getstate()
+    for row in acc.rows():
+        total = ZERO
+        for a, b in zip(row, vec):
+            total = total + a * b
+        assert total.is_zero()
+
+
+def test_a_zero_kernel_gives_zeros_without_a_draw():
+    acc = RrefAccumulator(3)
+    for row in ([ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, Scalar(0, 1)]):
+        acc.add(row)
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert random_kernel_vector(acc, rng) == [ZERO, ZERO, ZERO]
+    assert rng.getstate() == state
+
+
+def test_solution_points_span_the_kernel():
+    rng = random.Random(6)
+    points = [solution_point([x + y], ["x", "y", "z"], rng) for _ in range(50)]
+    got = Subspace.from_vectors([[p["x"], p["y"], p["z"]] for p in points])
+    assert got == Subspace.from_vectors([[ONE, -ONE, ZERO], [ZERO, ZERO, ONE]])
