@@ -15,13 +15,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import POLY, StructureTable, is_lie, leibniz_residues
 from .linalg import Matrix, RrefAccumulator
 from .scalars import ONE, ZERO, Poly, Scalar
-from .symsolve import (LinearSpan, equation_rref, poly_combination,
-                       random_kernel_vector, random_scalar)
+from .symsolve import (LinearSpan, draw_kernel_point, equation_rref,
+                       kernel_sampler, poly_combination, random_kernel_vector,
+                       random_scalar)
 from .triangular import (allowed_offdiagonal, corner_index, generator_label,
                          nil_independent_count, pair_index, pairs, triangular)
 
@@ -292,6 +294,8 @@ def derive_relations(n: int, f: int, seed: int = 0,
     _check_rank(n, f)
     if n > 6:
         raise ValueError("relation derivation is capped at n = 6")
+    if sample_points < 0:
+        raise ValueError(f"sample_points must be >= 0, got {sample_points}")
     gen = generic_extension(n, f)
     residues = leibniz_residues(gen)
     base_polys = [coeff for _, comps in residues for coeff in comps.values()]
@@ -375,6 +379,28 @@ def derive_relations(n: int, f: int, seed: int = 0,
     )
 
 
+def _int_poly(p: Poly, pos: Mapping[str, int]) -> list:
+    """p times the lcm of its denominators, one (x, y, gap, positions) per term:
+    its coefficient x + y*i, p's degree minus its own, and its variables'
+    positions, one per unit of degree."""
+    den, top = lcm(*(c.d for c in p.terms.values())), p.degree()
+    return [(c.x * (den // c.d), c.y * (den // c.d), top - sum(e for _, e in mon),
+             tuple(pos[name] for name, e in mon for _ in range(e)))
+            for mon, c in p.terms.items()]
+
+
+def _vanishes(terms: list, xs: Sequence[int], ys: Sequence[int], den: int) -> bool:
+    """Whether an `_int_poly` is zero at (xs + ys*i) / den: the int sum of
+    den**degree times its value, so each term is scaled by den**gap."""
+    re = im = 0
+    for a, b, gap, positions in terms:
+        a, b = a * den ** gap, b * den ** gap
+        for k in positions:
+            a, b = a * xs[k] - b * ys[k], a * ys[k] + b * xs[k]
+        re, im = re + a, im + b
+    return not re and not im
+
+
 def _sample_stated_variety(factor_pairs: Sequence[tuple], stated: Sequence[Poly],
                            covered: Sequence[Poly], variables: Sequence[str],
                            count: int, rng: random.Random) -> tuple:
@@ -383,24 +409,27 @@ def _sample_stated_variety(factor_pairs: Sequence[tuple], stated: Sequence[Poly]
     Each point zeroes one randomly chosen factor of every pair, so it lies
     on the zero set of the `stated` products; one that does not raises
     RuntimeError.  The equations' RREF is built once per factor-choice
-    pattern and kept for this call only.  No variables means no points.
+    pattern and kept for this call only, as a `kernel_sampler`, and each
+    polynomial is tested for zero in ints.  No variables means no points.
     """
     if not variables:
         return 0, True
-    known = set(variables)
-    systems: dict = {}
+    pos = {v: k for k, v in enumerate(variables)}
+    stated_terms = [_int_poly(q, pos) for q in stated]
+    covered_terms = [_int_poly(q, pos) for q in covered]
+    samplers: dict = {}
     ok = True
     for _ in range(count):
         pattern = tuple(rng.choice((0, 1)) for _ in factor_pairs)
-        acc = systems.get(pattern)
-        if acc is None:
+        sampler = samplers.get(pattern)
+        if sampler is None:
             chosen = [pair[k] for pair, k in zip(factor_pairs, pattern)
-                      if pair[k].indeterminates() <= known]
-            acc = systems[pattern] = equation_rref(chosen, variables)
-        point = dict(zip(variables, random_kernel_vector(acc, rng)))
-        if any(not q.evaluate(point).is_zero() for q in stated):
+                      if pair[k].indeterminates() <= pos.keys()]
+            sampler = samplers[pattern] = kernel_sampler(equation_rref(chosen, variables))
+        xs, ys, den = draw_kernel_point(sampler, rng)
+        if not all(_vanishes(q, xs, ys, den) for q in stated_terms):
             raise RuntimeError("sample point escaped the restriction variety")
-        if ok and any(not q.evaluate(point).is_zero() for q in covered):
+        if ok and not all(_vanishes(q, xs, ys, den) for q in covered_terms):
             ok = False
     return count, ok
 

@@ -111,14 +111,16 @@ class RrefAccumulator:
     {column: coeff} entries after the pivot; the pivot coefficient is 1 and
     every other row is 0 there.  Columns may be any mutually comparable
     keys.  `ambient`, the number of integer columns 0..ambient-1, is needed
-    only by the dense views `rows` and `kernel_basis`.
+    only by the dense views `rows` and `kernel_basis`.  `holders` lists for
+    each column every pivot whose row holds it, and maybe some that did.
     """
 
-    __slots__ = ("ambient", "pivots")
+    __slots__ = ("ambient", "pivots", "holders")
 
     def __init__(self, ambient: int | None = None):
         self.ambient = ambient
         self.pivots: dict = {}
+        self.holders: dict = {}
 
     def reduce(self, vec) -> dict:
         """Sparse residue of a dense vector or {column: coeff} row.
@@ -139,9 +141,15 @@ class RrefAccumulator:
         pivot = min(v)
         inv = v.pop(pivot).inverse()
         tail = {c: x * inv for c, x in v.items()}
-        for row in self.pivots.values():
+        for c in tail:
+            self.holders.setdefault(c, []).append(pivot)
+        for q in self.holders.pop(pivot, ()):
+            row = self.pivots[q]
             f = row.pop(pivot, None)
             if f is not None:
+                # a column new to the row cannot cancel, so the row now holds it
+                for c in [c for c in tail if c not in row]:
+                    self.holders[c].append(q)
                 _subtract(row, f, tail)
         self.pivots[pivot] = tail
         return True

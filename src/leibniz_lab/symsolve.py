@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import Matrix, RrefAccumulator
@@ -115,38 +116,48 @@ def equation_rref(polys: Iterable[Poly], variables: Sequence[str]) -> RrefAccumu
     return acc
 
 
-def random_kernel_vector(acc: RrefAccumulator, rng: random.Random,
-                         tries: int = 8) -> list:
-    """Random null space element of acc's rows, biased away from zero.
+def kernel_sampler(acc: RrefAccumulator) -> tuple:
+    """(free columns, L, rows) for `draw_kernel_point`: acc's rows as
+    (pivot, [(column, x, y)]), x + y*i being L times the entry, L the lcm
+    of their denominators."""
+    den = lcm(*(e.d for row in acc.pivots.values() for e in row.values()))
+    rows = [(p, [(c, e.x * (den // e.d), e.y * (den // e.d)) for c, e in row.items()])
+            for p, row in acc.pivots.items()]
+    return [c for c in range(acc.ambient) if c not in acc.pivots], den, rows
+
+
+def draw_kernel_point(sampler: tuple, rng: random.Random, tries: int = 8) -> tuple:
+    """(xs, ys, L): a random null space element (xs + ys*i) / L of a
+    `kernel_sampler`'s rows.
 
     One `randint(-5, 5)` per free column, in column order, is that
     coordinate, and each pivot coordinate is minus its row applied to them:
-    the combination of `acc.kernel_basis()` with those coefficients, built
-    in O(nonzeros).  A round of all-zero draws is redrawn, up to `tries`
-    rounds; after that the first basis vector stands in.  A zero null space
-    gives zeros without a draw.
+    the combination of `acc.kernel_basis()` with those coefficients.  A round
+    of all-zero draws is redrawn, up to `tries` rounds; after that the first
+    basis vector stands in.  A zero null space gives zeros without a draw.
     """
-    free = [c for c in range(acc.ambient) if c not in acc.pivots]
-    vec = [ZERO] * acc.ambient
-    if not free:
-        return vec
+    free, den, rows = sampler
     for _ in range(tries):
         draws = [rng.randint(-5, 5) for _ in free]
         if any(draws):
             break
     else:
         draws = [1] + [0] * (len(free) - 1)
-    values = {c: Scalar(k) for c, k in zip(free, draws) if k}
-    for c, x in values.items():
-        vec[c] = x
-    for p, row in acc.pivots.items():
-        total = ZERO
-        for c, e in row.items():
-            x = values.get(c)
-            if x is not None:
-                total = total - e * x
-        vec[p] = total
-    return vec
+    values = dict(zip(free, draws))
+    xs, ys = [0] * (len(free) + len(rows)), [0] * (len(free) + len(rows))
+    for c, k in values.items():
+        xs[c] = k * den
+    # a stored row's columns are all free
+    for p, row in rows:
+        xs[p] = -sum(a * values[c] for c, a, _ in row)
+        ys[p] = -sum(b * values[c] for c, _, b in row)
+    return xs, ys, den
+
+
+def random_kernel_vector(acc: RrefAccumulator, rng: random.Random) -> list:
+    """`draw_kernel_point` on acc's rows, as Scalars."""
+    xs, ys, den = draw_kernel_point(kernel_sampler(acc), rng)
+    return [Scalar.from_ints(x, y, den) for x, y in zip(xs, ys)]
 
 
 def solution_point(polys: Iterable[Poly], variables: Sequence[str],

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from leibniz_lab.algebra import is_leibniz, is_lie, leibniz_residues
-from leibniz_lab.extensions import (ExtensionSpec, _sample_stated_variety,
-                                    _tracefree_substitution, a_name, b_name,
+from leibniz_lab.extensions import (ExtensionSpec, _int_poly, _sample_stated_variety,
+                                    _tracefree_substitution, _vanishes, a_name, b_name,
                                     build_extension, derive_relations,
                                     diagonal_names, expected_relation_forms,
                                     expected_substitution, generic_extension,
@@ -17,8 +18,8 @@ from leibniz_lab.extensions import (ExtensionSpec, _sample_stated_variety,
                                     solve_linear_forms, stated_restrictions,
                                     verify_corner_annihilation,
                                     verify_max_extension_is_lie)
-from leibniz_lab.scalars import ONE, Poly, Scalar
-from leibniz_lab.symsolve import LinearSpan
+from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
+from leibniz_lab.symsolve import LinearSpan, equation_rref, random_scalar
 from leibniz_lab.triangular import (diagonal_vector, nil_independent_count,
                                     structure_matrices)
 
@@ -169,9 +170,131 @@ def test_the_sampler_can_fail():
                                   random.Random(1)) == (0, True)
 
 
+def scalar_kernel_vector(acc, rng, tries=8):
+    """`random_kernel_vector` as it drew in `Scalar`s, kept as the oracle of
+    the sampler's draws."""
+    free = [c for c in range(acc.ambient) if c not in acc.pivots]
+    vec = [ZERO] * acc.ambient
+    if not free:
+        return vec
+    for _ in range(tries):
+        draws = [rng.randint(-5, 5) for _ in free]
+        if any(draws):
+            break
+    else:
+        draws = [1] + [0] * (len(free) - 1)
+    values = {c: Scalar(k) for c, k in zip(free, draws) if k}
+    for c, x in values.items():
+        vec[c] = x
+    for p, row in acc.pivots.items():
+        total = ZERO
+        for c, e in row.items():
+            x = values.get(c)
+            if x is not None:
+                total = total - e * x
+        vec[p] = total
+    return vec
+
+
+def scalar_sample_stated_variety(factor_pairs, stated, covered, variables, count, rng):
+    """The sampler before it drew and tested its points in ints, kept as its oracle."""
+    if not variables:
+        return 0, True
+    systems = {}
+    ok = True
+    for _ in range(count):
+        pattern = tuple(rng.choice((0, 1)) for _ in factor_pairs)
+        acc = systems.get(pattern)
+        if acc is None:
+            chosen = [pair[k] for pair, k in zip(factor_pairs, pattern)
+                      if pair[k].indeterminates() <= set(variables)]
+            acc = systems[pattern] = equation_rref(chosen, variables)
+        point = dict(zip(variables, scalar_kernel_vector(acc, rng)))
+        if any(not q.evaluate(point).is_zero() for q in stated):
+            raise RuntimeError("sample point escaped the restriction variety")
+        if ok and any(not q.evaluate(point).is_zero() for q in covered):
+            ok = False
+    return count, ok
+
+
+def random_poly(rng, names, terms=4, top=3):
+    """Up to `terms` terms of degree 0..top with Gaussian and fractional coefficients."""
+    p = Poly.zero()
+    for _ in range(rng.randint(1, terms)):
+        term = Poly.const(random_scalar(rng, -4, 4))
+        for _ in range(rng.randint(0, top)):
+            term = term * Poly.var(rng.choice(names))
+        p = p + term
+    return p
+
+
+def gaussian_point(rng, names):
+    """A Q(i) point and the same point as ints (xs + ys*i) / L."""
+    point = {v: random_scalar(rng, -3, 3) for v in names}
+    den = lcm(*(x.d for x in point.values()))
+    xs = [point[v].x * (den // point[v].d) for v in names]
+    ys = [point[v].y * (den // point[v].d) for v in names]
+    return point, xs, ys, den
+
+
+def test_the_integer_zero_test_matches_scalar_evaluation():
+    rng = random.Random(5)
+    names = ["u", "v", "w", "z"]
+    pos = {v: k for k, v in enumerate(names)}
+    seen = set()
+    for _ in range(300):
+        point, xs, ys, den = gaussian_point(rng, names)
+        p = random_poly(rng, names)
+        value = p.evaluate(point)
+        # a moved constant and a vanishing factor give mixed-degree zeros
+        shifted = p - Poly.const(value)
+        factor = Poly.var("u") - Poly.const(point["u"])
+        for q in (p, shifted, p * factor, p * factor + Poly.const(ONE)):
+            want = q.evaluate(point).is_zero()
+            assert _vanishes(_int_poly(q, pos), xs, ys, den) == want, (q, point)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def sampler_cases():
+    """(factor pairs, stated, covered, variables): the (n, f) grid with its
+    extra quadratics, and one set of pairs with Gaussian, fractional forms."""
+    for n, f in ((3, 1), (4, 1), (4, 2), (5, 2)):
+        flat = _tracefree_substitution(n, f)
+        pairs = [(w.substitute(flat), form) for w, form in restriction_factors(n, f)]
+        stated = [w * form for w, form in pairs]
+        extras = list(derive_relations(n, f, sample_points=0).extra_quadratics)
+        names = set()
+        for q in stated + extras:
+            names |= q.indeterminates()
+        yield pairs, stated, stated + extras, sorted(names)
+    x, y, z, w, u = (Poly.var(v) for v in "xyzwu")
+    half, gauss = Poly.const(Scalar(Fraction(1, 2))), Poly.const(Scalar(Fraction(2, 3), 1))
+    pairs = [(x, half * y - z), (y + gauss * w, u), (z, gauss * x + half * u)]
+    stated = [a * b for a, b in pairs]
+    covered = [stated[0] + gauss * stated[2], x * y, half * z * z]
+    yield pairs, stated, covered, ["u", "w", "x", "y", "z"]
+
+
+def test_the_integer_sampler_matches_the_scalar_sampler():
+    for pairs, stated, covered, names in sampler_cases():
+        for seed in (0, 1, 2):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = _sample_stated_variety(pairs, stated, covered, names, 60, rng)
+            assert got == scalar_sample_stated_variety(pairs, stated, covered, names, 60, ref)
+            assert rng.getstate() == ref.getstate()
+
+
 def test_derive_relations_cap():
     with pytest.raises(ValueError, match="capped at n = 6"):
         derive_relations(7, 1)
+
+
+def test_derive_relations_rejects_a_negative_sample_count():
+    with pytest.raises(ValueError, match="sample_points must be >= 0"):
+        derive_relations(3, 1, sample_points=-3)
+    rep = derive_relations(3, 1, sample_points=0)
+    assert rep.sample_points == 0 and rep.sampling_ok
 
 
 def test_relations_are_not_vacuous():

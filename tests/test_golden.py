@@ -12,6 +12,13 @@ parent of that change.
 The second digest pins the `repr` of every `derive_relations` report on the
 `relations` benchmark grid for seeds 1 and 3, as computed before the
 sampler drew its points from one sparse RREF per factor-choice pattern.
+
+The third digest pins outputs of the sparse eliminator that neither of the
+others reaches, as computed before its back-substitution used a column
+index: the derivation algebras of T(4)..T(8), `verify_max_extension_is_lie`
+at n = 4 and 5 with and without `corrupt`, and `linear_forms_in_span` on
+the residues of each generic extension of the grid, in the order of its
+output and of each form's terms.
 """
 
 import hashlib
@@ -19,18 +26,22 @@ import random
 from fractions import Fraction
 
 from leibniz_lab.algebra import (BasisChange, StructureTable, bracket,
-                                 change_of_basis, leibniz_residues,
-                                 mult_matrix, series_signature)
+                                 change_of_basis, derivation_algebra,
+                                 leibniz_residues, mult_matrix,
+                                 series_signature)
 from leibniz_lab.classify import (CanonicalForm, build_canonical, build_L41,
                                   classify_L41, sample_l41_params)
 from leibniz_lab.extensions import (build_extension, derive_relations,
-                                    sample_extension_specs)
+                                    generic_extension, linear_forms_in_span,
+                                    sample_extension_specs,
+                                    verify_max_extension_is_lie)
 from leibniz_lab.linalg import Matrix
 from leibniz_lab.scalars import ONE, Scalar
 from leibniz_lab.triangular import triangular
 
 GOLDEN_SHA256 = "d2c49588cb6b61a667ac36b3bef86efd07cae6d8f684fb1ec8199cb99aa93108"
 RELATIONS_SHA256 = "950d029c01185f2f307130209d382979bbfd102fd05f6201acaca83590d7cbda"
+ELIMINATOR_SHA256 = "fb2060e233e75ab882d297036de9e1f31717edc928474000803e75b03bc08a13"
 RELATION_GRID = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2))
 
 
@@ -135,3 +146,21 @@ def relations_text() -> str:
 
 def test_relation_reports_match_the_golden_digest():
     assert hashlib.sha256(relations_text().encode()).hexdigest() == RELATIONS_SHA256
+
+
+def eliminator_text() -> str:
+    lines = [f"T({n}) derivations {rows_text(derivation_algebra(triangular(n)).mat.rows)}"
+             for n in range(4, 9)]
+    lines += [repr(verify_max_extension_is_lie(n, seed=2, samples=10, corrupt=corrupt))
+              for n in (4, 5) for corrupt in (False, True)]
+    for n, f in RELATION_GRID:
+        polys = [c for _, comps in leibniz_residues(generic_extension(n, f))
+                 for c in comps.values()]
+        forms = [[(m, str(c)) for m, c in p.terms.items()]
+                 for p in linear_forms_in_span(polys)]
+        lines.append(f"({n}, {f}) linear forms {forms!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_eliminator_outputs_match_the_golden_digest():
+    assert hashlib.sha256(eliminator_text().encode()).hexdigest() == ELIMINATOR_SHA256

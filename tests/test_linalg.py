@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from leibniz_lab.linalg import (Matrix, RrefAccumulator, Subspace, invert,
-                                kernel, kernel_of_sparse_rows, rref, span,
-                                sparse_kernel_basis)
+from leibniz_lab.linalg import (Matrix, RrefAccumulator, Subspace, _subtract,
+                                invert, kernel, kernel_of_sparse_rows, rref,
+                                span, sparse_kernel_basis)
 from leibniz_lab.scalars import ONE, ZERO, Scalar
 
 
@@ -232,3 +232,45 @@ def test_invert_exactly_when_the_determinant_is_nonzero(m):
             invert(m)
     else:
         assert invert(m) * m == Matrix.identity(m.nrows)
+
+
+# -- the column index against a back-substitution over every row ---------------
+
+def full_scan_add(pivots: dict, vec: dict) -> bool:
+    """The insertion the column index replaced, kept as its oracle: the new
+    pivot is cleared from every stored row, found by visiting them all."""
+    v = {c: x for c, x in vec.items() if not x.is_zero()}
+    for p in [c for c in v if c in pivots]:
+        _subtract(v, v.pop(p), pivots[p])
+    if not v:
+        return False
+    pivot = min(v)
+    inv = v.pop(pivot).inverse()
+    tail = {c: x * inv for c, x in v.items()}
+    for row in pivots.values():
+        f = row.pop(pivot, None)
+        if f is not None:
+            _subtract(row, f, tail)
+    pivots[pivot] = tail
+    return True
+
+
+fractional_gaussians = st.builds(Scalar, st.fractions(-3, 3, max_denominator=4),
+                                 st.sampled_from((0, 0, 0, 1, -2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda ncols: st.lists(
+           st.dictionaries(st.integers(0, ncols - 1), fractional_gaussians,
+                           min_size=1, max_size=4), max_size=14)),
+       st.booleans())
+def test_the_column_index_matches_a_full_scan(rows, tuple_keys):
+    # tuple keys order the columns differently from their ints
+    key = (lambda k: (k % 3, -k)) if tuple_keys else (lambda k: k)
+    rows = [{key(k): x for k, x in row.items()} for row in rows]
+    acc = RrefAccumulator()
+    want: dict = {}
+    for row in rows:
+        assert acc.add(row) == full_scan_add(want, row)
+        assert ([(p, list(r.items())) for p, r in acc.pivots.items()]
+                == [(p, list(r.items())) for p, r in want.items()])
