@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .linalg import (Matrix, RrefAccumulator, Subspace, invert,
                      kernel_of_sparse_rows)
-from .scalars import ONE, POLY_ZERO, ZERO, Poly, Scalar
+from .scalars import ONE, POLY_ZERO, ZERO, Poly, Scalar, _mul_mon, _poly
 
 SCALAR = "scalar"
 POLY = "poly"
@@ -203,35 +203,64 @@ def leibniz_residues(a: StructureTable) -> list:
     """
     if a.ring == SCALAR:
         return _scalar_residues(_IntView(a, "leibniz_residues"), a.dim)
-    out = []
+    return _poly_residues(a)
+
+
+def _poly_residues(a: StructureTable) -> list:
+    """The scan on the (monomial, re, im) int cells of D times each entry,
+    D the lcm of the denominators, so it finds D**2 times each residue.  Like
+    Poly.__mul__ and Poly.__add__, a product and a sum delete a term where it
+    cancels: every coefficient keeps Poly arithmetic's term order."""
     d = a.dim
-    for i in range(d):
-        for j in range(d):
-            rij = a.row(i, j)
-            for k in range(d):
-                rjk = a.row(j, k)
-                rik = a.row(i, k)
-                if not rij and not rjk and not rik:
+    den = lcm(*(c.d for row in a.c.values() for p in row.values() for c in p.terms.values()))
+    grid = [[()] * d for _ in range(d)]
+    for (i, j), row in a.c.items():
+        grid[i][j] = tuple((k, tuple((m, c.x * (den // c.d), c.y * (den // c.d))
+                                     for m, c in p.terms.items())) for k, p in row.items())
+    prods: dict = {}                # (monomial, monomial) -> their product
+    cols = list(zip(*grid))
+
+    def times(u: tuple, v: tuple, sign: int):
+        """The cells of sign * u * v, pair by pair."""
+        for m1, p, q in u:
+            p, q = sign * p, sign * q
+            for m2, x, y in v:
+                m = prods.get((m1, m2))
+                if m is None:
+                    m = prods[m1, m2] = _mul_mon(m1, m2)
+                yield m, (p * x - q * y, p * y + q * x)
+
+    def into(t: dict, cells) -> dict:
+        """t += the cells, a term deleted where it cancels."""
+        for m, (x, y) in cells:
+            cur = t.get(m)
+            if cur is not None:
+                x += cur[0]
+                y += cur[1]
+                if not (x or y):
+                    del t[m]
                     continue
-                acc: dict = {}
-                for m, cm in rjk.items():
-                    for r, cr in a.row(i, m).items():
-                        v = cm * cr
-                        cur = acc.get(r)
-                        acc[r] = v if cur is None else cur + v
-                for m, cm in rij.items():
-                    for r, cr in a.row(m, k).items():
-                        v = cm * cr
-                        cur = acc.get(r)
-                        acc[r] = -v if cur is None else cur - v
-                for m, cm in rik.items():
-                    for r, cr in a.row(m, j).items():
-                        v = cm * cr
-                        cur = acc.get(r)
-                        acc[r] = v if cur is None else cur + v
-                nz = {r: c for r, c in acc.items() if not c.is_zero()}
-                if nz:
-                    out.append(((i, j, k), nz))
+            t[m] = x, y
+        return t
+
+    den2 = den * den
+    out = []
+    for i, j, k in product(range(d), repeat=3):
+        gij, gjk, gik = grid[i][j], grid[j][k], grid[i][k]
+        if not (gij or gjk or gik):
+            continue
+        acc: dict = {}
+        for sign, outer, rows in ((1, gjk, grid[i]), (-1, gij, cols[k]), (1, gik, cols[j])):
+            for m, u in outer:
+                for r, v in rows[m]:
+                    cells = times(u, v, sign)
+                    if len(u) > 1 and len(v) > 1:       # the product's own terms may meet
+                        cells = into({}, cells).items()
+                    into(acc.setdefault(r, {}), cells)
+        nz = {r: _poly({m: Scalar.from_ints(x, y, den2) for m, (x, y) in t.items()})
+              for r, t in acc.items() if t}
+        if nz:
+            out.append(((i, j, k), nz))
     return out
 
 

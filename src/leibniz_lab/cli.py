@@ -159,7 +159,7 @@ def cmd_extend(args) -> Report:
 def _verify_lemma(args) -> Report:
     if args.n is None:
         raise CliError("--lemma needs --n")
-    rep = derive_relations(args.n, args.f, seed=args.seed)
+    rep = derive_relations(args.n, 1 if args.f is None else args.f, seed=args.seed)
     b_count = sum(1 for p in rep.expected_linear
                   if any(v.startswith("b") for v in p.indeterminates()))
     s_count = len(rep.expected_linear) - b_count
@@ -181,7 +181,8 @@ def _verify_lemma(args) -> Report:
 def _verify_theorem(args) -> Report:
     if args.n is None:
         raise CliError("--theorem needs --n")
-    rep = verify_max_extension_is_lie(args.n, seed=args.seed, samples=args.samples)
+    rep = verify_max_extension_is_lie(args.n, seed=args.seed,
+                                      samples=100 if args.samples is None else args.samples)
     verdicts = {
         "theorem": args.theorem,
         "n": rep.n,
@@ -204,15 +205,22 @@ def _verify_identity(args) -> Report:
     return Report("verify", verdicts, [], 0 if ok else 1)
 
 
+# verify mode -> (handler, options it does not read): --theorem forces
+# f = n - 1, and --eq reads (n, f) from the file's labels
+_VERIFY_MODES = {"lemma": (_verify_lemma, ("samples",)),
+                 "theorem": (_verify_theorem, ("f",)),
+                 "eq": (_verify_identity, ("n", "f", "samples"))}
+
+
 def cmd_verify(args) -> Report:
-    chosen = [x for x in (args.lemma, args.theorem, args.eq) if x is not None]
+    chosen = [mode for mode in _VERIFY_MODES if getattr(args, mode) is not None]
     if len(chosen) != 1:
         raise CliError("pick exactly one of --lemma, --theorem, --eq")
-    if args.lemma is not None:
-        return _verify_lemma(args)
-    if args.theorem is not None:
-        return _verify_theorem(args)
-    return _verify_identity(args)
+    handler, unread = _VERIFY_MODES[chosen[0]]
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise CliError(f"--{name} does not apply to --{chosen[0]}")
+    return handler(args)
 
 
 def cmd_check(args) -> Report:
@@ -323,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", choices=("3",),
                    help="check corner annihilation on a non-skew table")
     p.add_argument("--n", type=int)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--samples", type=positive_int, default=100,
+    p.add_argument("--f", type=int, help="generator count for --lemma (default 1)")
+    p.add_argument("--samples", type=positive_int,
                    help="sample count for --theorem (default 100)")
     p.add_argument("file", nargs="?", help="algebra file (for --eq)")
 

@@ -269,6 +269,11 @@ class ResidueReport:
                 and not self.missing_linear and not self.unexplained_residual)
 
 
+def _coefficients(residues: list) -> list:
+    """The coefficients of a residue scan's output, in its order."""
+    return [c for _, comps in residues for c in comps.values()]
+
+
 def _dedupe_monic(polys: Iterable[Poly]) -> tuple:
     seen = {}
     for p in polys:
@@ -285,7 +290,9 @@ def derive_relations(n: int, f: int, seed: int = 0,
 
     The linear layer is closed by alternating two sound moves: take every
     degree <= 1 element of the scalar span of the residue coefficients, then
-    substitute the solved relations back into the original residues.  What
+    substitute the solved relations into the table and scan it again: the
+    bracket is bilinear and substitution a ring map, so its residues are the
+    substituted ones, found from a few small entries.  What
     survives substitution must be homogeneous quadratic; those leftovers are
     compared against the stated parameter products on the zero-trace slice.
     Seeded points on the stated products' zero set then check the covered
@@ -298,11 +305,10 @@ def derive_relations(n: int, f: int, seed: int = 0,
         raise ValueError(f"sample_points must be >= 0, got {sample_points}")
     gen = generic_extension(n, f)
     residues = leibniz_residues(gen)
-    base_polys = [coeff for _, comps in residues for coeff in comps.values()]
 
     derived: list = []
     span = LinearSpan([])
-    current = base_polys
+    current = _coefficients(residues)
     sub: dict = {}
     rounds = 0
     for _ in range(8):
@@ -314,7 +320,7 @@ def derive_relations(n: int, f: int, seed: int = 0,
         span = grown
         derived = span.basis_forms()
         sub = solve_linear_forms(derived)
-        current = [p.substitute(sub) for p in base_polys]
+        current = _coefficients(leibniz_residues(gen.substitute(sub)))
 
     expected, expected_sub = _expected(n, f)
     expected_span = LinearSpan(expected)
@@ -322,7 +328,7 @@ def derive_relations(n: int, f: int, seed: int = 0,
     missing_linear = tuple(p for p in expected if not span.contains(p))
     matches = not unexplained_linear and not missing_linear
     if matches and sub != expected_sub:
-        current = [p.substitute(expected_sub) for p in base_polys]
+        current = _coefficients(leibniz_residues(gen.substitute(expected_sub)))
 
     leftovers_low = []
     quadratics = []
@@ -609,14 +615,6 @@ def verify_corner_annihilation(a: StructureTable, n: int, f: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _reduced_residue_polys(n: int, f: int) -> tuple:
-    polys = []
-    for _, comps in leibniz_residues(reduced_extension(n, f)):
-        polys.extend(comps.values())
-    return tuple(polys)
-
-
-@lru_cache(maxsize=None)
 def _compiled_residue_rows(n: int, f: int) -> tuple:
     """Residue equations precompiled against a diagonal/remainder split.
 
@@ -632,7 +630,7 @@ def _compiled_residue_rows(n: int, f: int) -> tuple:
     rest = tuple(v for v in master_param_names(n, f) if v not in diag_set)
     pos = {v: k for k, v in enumerate(rest)}
     rows = []
-    for p in _reduced_residue_polys(n, f):
+    for p in _coefficients(leibniz_residues(reduced_extension(n, f))):
         constants = []
         cells = {}
         for mon, coeff in p.terms.items():
@@ -811,7 +809,6 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
     if n < 4:
         raise ValueError("verification requires n >= 4")
     f = n - 1
-    base_polys = _reduced_residue_polys(n, f)
     first = diagonal_names(n, f, 1)
     if corrupt:
         lead = {first[0]: Poly.const(1), first[1]: Poly.const(-1)}
@@ -819,13 +816,13 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
     else:
         lead = {first[0]: Poly.const(1)}
         lead.update({name: Poly.zero() for name in first[1:]})
-    subbed = [p.substitute(lead) for p in base_polys]
-    span = LinearSpan(linear_forms_in_span(p for p in subbed if not p.is_zero()))
+    reduced = reduced_extension(n, f)
+    subbed = _coefficients(leibniz_residues(reduced.substitute(lead)))
+    span = LinearSpan(linear_forms_in_span(subbed))
 
     missing = tuple(w for w in skew_forms(n, f) if not span.contains(w))
 
     rng = random.Random(seed)
-    reduced = reduced_extension(n, f)
     all_lie = True
     nonlie = 0
     fixed_first = None if corrupt else [ONE] + [ZERO] * (n - 2)

@@ -140,7 +140,7 @@ class RrefAccumulator:
             return False
         pivot = min(v)
         inv = v.pop(pivot).inverse()
-        tail = {c: x * inv for c, x in v.items()}
+        tail = v if inv == ONE else {c: x * inv for c, x in v.items()}
         for c in tail:
             self.holders.setdefault(c, []).append(pivot)
         for q in self.holders.pop(pivot, ()):

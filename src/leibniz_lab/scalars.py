@@ -211,10 +211,37 @@ def _mul_mon(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
+    if len(m1) == 1 and len(m2) == 1:          # one name each, the common case
+        (a, e), (b, f) = m1[0], m2[0]
+        return ((a, e + f),) if a == b else (m1[0], m2[0]) if a < b else (m2[0], m1[0])
     exps: dict = dict(m1)
     for name, e in m2:
         exps[name] = exps.get(name, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def _add_terms(t: dict, other: Mapping) -> dict:
+    """t += other in place, a term deleted where it cancels; returns t."""
+    for m, c in other.items():
+        cur = t.get(m)
+        if cur is None:
+            t[m] = c
+        else:
+            s = cur + c
+            if s.is_zero():
+                del t[m]
+            else:
+                t[m] = s
+    return t
+
+
+def _mul_terms(t1: Mapping, t2: Mapping) -> dict:
+    """The terms of a product, in the order of the pairs that first make
+    them: added row by row, as one row's products m1 * m2 are distinct."""
+    t: dict = {}
+    for m1, c1 in t1.items():
+        _add_terms(t, {_mul_mon(m1, m2): c1 * c2 for m2, c2 in t2.items()})
+    return t
 
 
 def _mon_degree(m: Monomial) -> int:
@@ -285,54 +312,21 @@ class Poly:
             return self
         if not self.terms:
             return other
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = t.get(m)
-            if cur is None:
-                t[m] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del t[m]
-                else:
-                    t[m] = s
-        p = Poly.__new__(Poly)
-        p.terms = t
-        return p
+        return _poly(_add_terms(dict(self.terms), other.terms))
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
-            return Poly.zero()
-        t: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mul_mon(m1, m2)
-                c = c1 * c2
-                cur = t.get(m)
-                if cur is None:
-                    t[m] = c
-                else:
-                    s = cur + c
-                    if s.is_zero():
-                        del t[m]
-                    else:
-                        t[m] = s
-        return Poly(t)
+        return _poly(_mul_terms(self.terms, other.terms))
 
     def scale(self, c: Scalar) -> "Poly":
         if c.is_zero():
             return Poly.zero()
-        p = Poly.__new__(Poly)
-        p.terms = {m: cc * c for m, cc in self.terms.items()}
-        return p
+        return _poly({m: cc * c for m, cc in self.terms.items()})
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at a point; every indeterminate must be bound."""
@@ -354,20 +348,21 @@ class Poly:
         return total
 
     def substitute(self, sub: Mapping[str, "Poly"]) -> "Poly":
-        """Replace named indeterminates by polynomials, leaving others alone."""
+        """Replace named indeterminates by polynomials, leaving others alone.
+
+        Each term is expanded factor by factor and added into one dict, in
+        the order and with the cancellations of Poly arithmetic."""
         if not any(name in sub for m in self.terms for name, _ in m):
             return self
-        out = Poly.zero()
+        out: dict = {}
         for m, c in self.terms.items():
-            term = Poly.const(c)
+            term = {_EMPTY_MON: c}
             for name, e in m:
-                factor = sub.get(name)
-                if factor is None:
-                    factor = Poly.var(name)
+                factor = sub[name].terms if name in sub else {((name, 1),): ONE}
                 for _ in range(e):
-                    term = term * factor
-            out = out + term
-        return out
+                    term = _mul_terms(term, factor)
+            _add_terms(out, term)
+        return _poly(out)
 
     def sort_key(self):
         """Deterministic key: graded-lex leading monomial then full term list."""
@@ -411,6 +406,13 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _poly(terms: dict) -> Poly:
+    """The Poly over terms that hold no zero coefficient, taken as they are."""
+    p = Poly.__new__(Poly)
+    p.terms = terms
+    return p
 
 
 POLY_ZERO = Poly.zero()

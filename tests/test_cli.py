@@ -195,6 +195,33 @@ def test_verify_mode_selection_errors(extension_file, capsys):
     assert "needs an algebra file" in capsys.readouterr().err
 
 
+UNREAD_VERIFY_OPTIONS = {
+    "f with theorem": (["verify", "--theorem", "3.4", "--n", "4", "--f", "3"], "--f"),
+    "n with eq": (["verify", "--eq", "3", "{file}", "--n", "4"], "--n"),
+    "f with eq": (["verify", "--eq", "3", "{file}", "--f", "1"], "--f"),
+    "samples with lemma": (["verify", "--lemma", "3.1", "--n", "3", "--samples", "5"],
+                           "--samples"),
+    "samples with eq": (["verify", "--eq", "3", "{file}", "--samples", "5"], "--samples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_VERIFY_OPTIONS))
+def test_verify_rejects_options_its_mode_does_not_read(case, extension_file, capsys):
+    argv, option = UNREAD_VERIFY_OPTIONS[case]
+    argv = [a.format(file=extension_file) for a in argv]
+    assert main(argv) == 2
+    assert f"{option} does not apply" in capsys.readouterr().err
+    assert main(argv + ["--format", "structured"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "verify" and doc["exit_code"] == 2
+    assert option in doc["verdicts"]["error"]
+
+
+def test_verify_defaults_apply_in_the_mode_that_reads_them():
+    assert run(["verify", "--lemma", "3.1", "--n", "3"]).verdicts["f"] == 1
+    assert run(["verify", "--theorem", "3.4", "--n", "4"]).verdicts["samples"] == 100
+
+
 def test_verify_identity_needs_standard_labels(tmp_path, capsys):
     odd = StructureTable(2, ["u", "v"], {})
     path = tmp_path / "odd.json"
@@ -332,8 +359,8 @@ def test_the_shared_parser_keeps_nothing_between_calls(monkeypatch, extension_fi
         assert main(argv) == code
     capsys.readouterr()
     assert [(s["command"], s["seed"], s.get("f")) for s in seen] == [
-        ("series", 5, None), ("series", 0, None), ("verify", 0, 2), ("verify", 0, 1),
-        ("series", 0, None), ("verify", 0, 1)]
+        ("series", 5, None), ("series", 0, None), ("verify", 0, 2), ("verify", 0, None),
+        ("series", 0, None), ("verify", 0, None)]
     assert seen[-1]["lemma"] is None and seen[-1]["n"] is None
     ran = [argv for argv, code in calls if code == 0 and "--help" not in argv]
     assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in ran]

@@ -176,3 +176,33 @@ def test_argv_holds_the_contract(workdir, tokens):
     # help may be read before the parser meets a bad command; it exits 0
     if (not argv or argv[0] not in HANDLERS) and not {"-h", "--help"} & set(argv):
         assert code == 2, argv
+
+
+# -- verify options that the chosen mode does not read -----------------------
+
+# mode -> (the mode's own arguments, options it reads, options it does not read)
+VERIFY_MODES = {
+    "--lemma": (["3.1", "--n", "3"], ("--seed", "--f"), ("--samples",)),
+    "--theorem": (["3.4", "--n", "4"], ("--seed", "--samples"), ("--f",)),
+    "--eq": (["3", "{table}"], ("--seed",), ("--n", "--f", "--samples")),
+}
+
+
+@st.composite
+def unread_verify_options(draw):
+    mode = draw(st.sampled_from(sorted(VERIFY_MODES)))
+    own, read, unread = VERIFY_MODES[mode]
+    options = (draw(st.lists(st.sampled_from(unread), min_size=1, unique=True))
+               + draw(st.lists(st.sampled_from(read), unique=True)))
+    pairs = draw(st.permutations([[opt, draw(st.sampled_from(("1", "2", "5")))]
+                                  for opt in options]))
+    return ["verify", mode] + own + [tok for pair in pairs for tok in pair]
+
+
+@FUZZ
+@given(unread_verify_options())
+def test_verify_rejects_every_option_its_mode_does_not_read(workdir, argv):
+    table = workdir / "verify_table.json"
+    table.write_text(json.dumps({"dim": 1, "labels": ["a"], "brackets": []}),
+                     encoding="utf-8")
+    assert invoke([tok.format(table=table) for tok in argv]) == 2, argv

@@ -242,3 +242,37 @@ def test_poly_product_evaluates_like_scalars(terms1, terms2):
     p, q = build(terms1), build(terms2)
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+def product_substitute(p, sub):
+    """Substitution as a sum of products of Polys, one Poly per factor."""
+    out = Poly.zero()
+    for m, c in p.terms.items():
+        term = Poly.const(c)
+        for name, e in m:
+            factor = sub.get(name, Poly.var(name))
+            for _ in range(e):
+                term = term * factor
+        out = out + term
+    return out
+
+
+# few names and coefficients, so that products and sums cancel terms
+mon_polys = st.dictionaries(
+    st.lists(st.sampled_from("xyz"), max_size=3).map(
+        lambda names: tuple(sorted((v, names.count(v)) for v in set(names)))),
+    st.builds(Scalar, st.sampled_from((1, -1, frac(1, 2))), st.sampled_from((0, 1))),
+    max_size=4).map(Poly)
+
+
+@given(mon_polys, st.dictionaries(st.sampled_from("xyw"), mon_polys, max_size=3))
+def test_substitute_keeps_the_terms_and_order_of_poly_products(p, sub):
+    got, want = p.substitute(sub), product_substitute(p, sub)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert not any(c.is_zero() for c in got.terms.values())
+
+
+def test_products_drop_the_terms_that_cancel():
+    x, y = Poly.var("x"), Poly.var("y")
+    assert list(((x + y) * (x - y)).terms.items()) == [((("x", 2),), ONE),
+                                                       ((("y", 2),), -ONE)]
