@@ -343,68 +343,74 @@ def mult_matrix(a: StructureTable, x: Sequence, side: str) -> Matrix:
     return Matrix([[cols[s][r] for s in range(d)] for r in range(d)], ncols=d)
 
 
-def _bracket_span(view: _IntView, d: int, u: Subspace, v: Subspace) -> Subspace:
-    """span [u, v] for u a series term C^k (v = L) or D^k (v = u).
+def _int_rows(acc: RrefAccumulator) -> list:
+    """acc's rows by pivot as (index, re, im) ints, times their tails' denominator lcm."""
+    out = []
+    for p in sorted(acc.pivots):
+        den, pairs, _ = _scaled(acc.pivots[p].values())
+        out.append([(p, den, 0)] + [(c, x, y) for c, (x, y) in zip(acc.pivots[p], pairs)])
+    return out
 
-    Each bracket goes to the eliminator in ints, a nonzero multiple of its
-    value: the span is the same, and its RREF is unique.  The span lies in
-    u, so it stops at dim u.  That holds for any bilinear product: C^2 lies
-    in L, and C^k in C^{k-1} gives C^{k+1} = [C^k, L] in [C^{k-1}, L] = C^k;
-    likewise D^{k+1} = [D^k, D^k] lies in [D^{k-1}, D^{k-1}] = D^k."""
+
+def _bracket_span(grid: list, d: int, us: list, vs: list, bound: int) -> RrefAccumulator:
+    """span [u, v] over the int rows of u = C^k (v = L) or D^k (v = u), bound = dim u.
+
+    A nonzero bracket goes to the eliminator in ints, a nonzero multiple of
+    its value: the span is the same, and its RREF is unique.  The span lies
+    in u, so it stops at dim u.  That holds for any bilinear product: C^2
+    lies in L, and C^k in C^{k-1} gives C^{k+1} = [C^k, L] in [C^{k-1}, L] =
+    C^k; likewise D^{k+1} = [D^k, D^k] lies in [D^{k-1}, D^{k-1}] = D^k."""
     acc = RrefAccumulator(d)
-    vs = [_sparse_ints(y)[1] for y in v.mat.rows]
-    for xs, ys in product([_sparse_ints(x)[1] for x in u.mat.rows], vs):
-        re, im = _bracket_ints(view.grid, xs, ys, d)
-        row = {k: Scalar(r, t) for k, (r, t) in enumerate(zip(re, im)) if r or t}
-        if row and acc.add(row) and acc.dim == u.dim:
-            break
-    return acc.to_subspace()
+    for xs, ys in product(us, vs):
+        re, im = _bracket_ints(grid, xs, ys, d)
+        if any(re) or any(im):
+            row = {k: Scalar(r, t) for k, (r, t) in enumerate(zip(re, im)) if r or t}
+            if acc.add(row) and acc.dim == bound:
+                break
+    return acc
 
 
-def _series(view: _IntView, square: Subspace, derived: bool) -> list:
-    """The series from L and its second term square = [L, L]."""
-    d = square.ambient
-    terms = [Subspace.full(d)]
-    nxt = square
-    while nxt.dim < terms[-1].dim:      # equal ends it, by the argument at _bracket_span
-        terms.append(nxt)
-        if not nxt.dim:
-            break
-        nxt = _bracket_span(view, d, nxt, nxt if derived else terms[0])
-    return terms
-
-
-def _square(a: StructureTable) -> tuple:
-    """(view, [L, L]) for the series."""
-    view = _IntView(a, "series")
-    full = Subspace.full(a.dim)
-    return view, _bracket_span(view, a.dim, full, full)
+def _series(a: StructureTable, kinds: tuple) -> list:
+    """Each kind's series (derived or not) as accumulators; [L, L] is built once."""
+    grid, d = _IntView(a, "series").grid, a.dim
+    full = RrefAccumulator(d)
+    for j in range(d):
+        full.add({j: ONE})
+    units = _int_rows(full)
+    square = _bracket_span(grid, d, units, units, d)
+    out = []
+    for derived in kinds:
+        terms, nxt = [full], square
+        while nxt.dim < terms[-1].dim:      # equal ends it, by the argument at _bracket_span
+            terms.append(nxt)
+            rows = _int_rows(nxt)
+            nxt = _bracket_span(grid, d, rows, rows if derived else units, nxt.dim)
+        out.append(terms)
+    return out
 
 
 def lower_central_series(a: StructureTable) -> list:
     """Terms L, [L,L], [[L,L],L], ... until stabilization or zero."""
-    return _series(*_square(a), derived=False)
+    return [t.to_subspace() for t in _series(a, (False,))[0]]
 
 
 def derived_series(a: StructureTable) -> list:
     """Terms L, [L,L], [[L,L],[L,L]], ... until stabilization or zero."""
-    return _series(*_square(a), derived=True)
+    return [t.to_subspace() for t in _series(a, (True,))[0]]
 
 
 def is_nilpotent(a: StructureTable) -> bool:
-    return lower_central_series(a)[-1].dim == 0
+    return _series(a, (False,))[0][-1].dim == 0
 
 
 def is_solvable(a: StructureTable) -> bool:
-    return derived_series(a)[-1].dim == 0
+    return _series(a, (True,))[0][-1].dim == 0
 
 
 def series_signature(a: StructureTable) -> tuple:
     """Dimension sequences of both series; invariant under basis change.
-    [L, L], the second term of both, is built once."""
-    view, square = _square(a)
-    return tuple(tuple(s.dim for s in _series(view, square, derived))
-                 for derived in (False, True))
+    Only dimensions are read: no subspace is built."""
+    return tuple(tuple(t.dim for t in terms) for terms in _series(a, (False, True)))
 
 
 def right_annihilator(a: StructureTable) -> Subspace:
@@ -469,8 +475,6 @@ def derivation_algebra(a: StructureTable) -> Subspace:
     if a.ring != SCALAR:
         raise ValueError("derivation_algebra requires scalar coefficients")
     n = a.dim
-    if n == 0:
-        return Subspace.full(0)
     # right[(j, k)]: the (r, c_rjk) with c_rjk != 0; left[(i, k)]: the (r, c_irk);
     # built from the sorted table, so each list runs over r in increasing order
     right: dict = {}

@@ -615,6 +615,12 @@ def verify_corner_annihilation(a: StructureTable, n: int, f: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _reduced_coefficients(n: int, f: int) -> tuple:
+    """The residue coefficients of reduced_extension(n, f), scanned once."""
+    return tuple(_coefficients(leibniz_residues(reduced_extension(n, f))))
+
+
+@lru_cache(maxsize=None)
 def _compiled_residue_rows(n: int, f: int) -> tuple:
     """Residue equations precompiled against a diagonal/remainder split.
 
@@ -630,7 +636,7 @@ def _compiled_residue_rows(n: int, f: int) -> tuple:
     rest = tuple(v for v in master_param_names(n, f) if v not in diag_set)
     pos = {v: k for k, v in enumerate(rest)}
     rows = []
-    for p in _coefficients(leibniz_residues(reduced_extension(n, f))):
+    for p in _reduced_coefficients(n, f):
         constants = []
         cells = {}
         for mon, coeff in p.terms.items():
@@ -816,9 +822,8 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
     else:
         lead = {first[0]: Poly.const(1)}
         lead.update({name: Poly.zero() for name in first[1:]})
-    reduced = reduced_extension(n, f)
-    subbed = _coefficients(leibniz_residues(reduced.substitute(lead)))
-    span = LinearSpan(linear_forms_in_span(subbed))
+    span = LinearSpan(linear_forms_in_span(  # a zero residue adds no row
+        p.substitute(lead) for p in _reduced_coefficients(n, f)))
 
     missing = tuple(w for w in skew_forms(n, f) if not span.contains(w))
 
@@ -839,7 +844,7 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
         if corrupt and _params_are_skew(n, f, params):
             key = sigma_param(1, 1)
             params[key] = params.get(key, ZERO) + ONE
-        table = reduced.to_scalar(params)
+        table = reduced_extension(n, f).to_scalar(params)
         if is_lie(table):
             continue
         all_lie = False

@@ -12,6 +12,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Union
 
+# "p" or "p/q" with q > 0, the text of most coefficients: read straight into ints
+_RE_INT_RATIO = re.compile(r"([+-]?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)
+
 
 class Scalar:
     """An element (x + y*i)/d of Q(i): ints with d > 0 and gcd(x, y, d) = 1.
@@ -103,7 +106,7 @@ class Scalar:
     def __str__(self) -> str:
         x, y, d = self.x, self.y, self.d
         if not y:
-            return _fmt_ratio(x, d)
+            return str(x) if d == 1 else _fmt_ratio(x, d)
         mag = _fmt_ratio(-y if y < 0 else y, d)
         imtxt = "i" if mag == "1" else f"{mag}*i"
         if not x:
@@ -125,6 +128,9 @@ class Scalar:
 
     @classmethod
     def _parse(cls, text: str) -> "Scalar":
+        m = _RE_INT_RATIO.fullmatch(text)
+        if m:
+            return _reduced(int(m.group(1)), 0, int(m.group(2) or 1))
         # spaces may flank an operator, never split a number
         s = cls._RE_SPACED_OP.sub(r"\1", text.strip())
         m = cls._RE_REAL.match(s)

@@ -6,8 +6,10 @@ from math import lcm
 
 import pytest
 
+from leibniz_lab import extensions
 from leibniz_lab.algebra import is_leibniz, is_lie, leibniz_residues
-from leibniz_lab.extensions import (ExtensionSpec, _int_poly, _sample_stated_variety,
+from leibniz_lab.extensions import (ExtensionSpec, _int_poly, _reduced_coefficients,
+                                    _sample_stated_variety,
                                     _tracefree_substitution, _vanishes, a_name, b_name,
                                     build_extension, derive_relations,
                                     diagonal_names, expected_relation_forms,
@@ -432,6 +434,39 @@ def test_verify_max_extension():
     assert chk.all_samples_lie
     assert chk.missing_relations == ()
     assert chk.f == 3
+
+
+def theorem_lead(n, corrupt):
+    """The first generator's diagonal as verify_max_extension_is_lie fixes it."""
+    values = (1, -1) if corrupt else (1,)
+    first = diagonal_names(n, n - 1, 1)
+    return {name: Poly.const(values[k]) if k < len(values) else Poly.zero()
+            for k, name in enumerate(first)}
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_substituted_cached_residues_span_what_a_rescan_spans(n, corrupt):
+    """The theorem check substitutes into the cached residue coefficients;
+    the linear forms they span are those of the substituted table's scan."""
+    lead = theorem_lead(n, corrupt)
+    rescan = [c for _, comps in leibniz_residues(reduced_extension(n, n - 1).substitute(lead))
+              for c in comps.values()]
+    subbed = [p.substitute(lead) for p in _reduced_coefficients(n, n - 1)]
+    assert [p for p in subbed if not p.is_zero()]
+    assert (LinearSpan(linear_forms_in_span(subbed))
+            == LinearSpan(linear_forms_in_span(rescan)))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_a_cold_theorem_check_scans_the_family_once(monkeypatch, corrupt):
+    calls = []
+    monkeypatch.setattr(extensions, "leibniz_residues",
+                        lambda a: calls.append(a.ring) or leibniz_residues(a))
+    for cached in (reduced_extension, _reduced_coefficients, extensions._compiled_residue_rows):
+        cached.cache_clear()
+    assert verify_max_extension_is_lie(4, samples=3, corrupt=corrupt).ok != corrupt
+    assert calls == ["poly"]
 
 
 def test_verify_max_extension_corrupt_mode_is_sensitive():

@@ -19,16 +19,27 @@ index: the derivation algebras of T(4)..T(8), `verify_max_extension_is_lie`
 at n = 4 and 5 with and without `corrupt`, and `linear_forms_in_span` on
 the residues of each generic extension of the grid, in the order of its
 output and of each form's terms.
+
+The fourth digest pins the bytes that in-process `cli.main` prints with
+`--format structured`: tables written by `triangular`, their `check`,
+`series` and `derivations` reports, `extend` and `classify-l41` on fixed
+parameter files that mix integer, fractional and Gaussian values, and
+`verify --theorem`.  The temporary directory is replaced by a fixed token.
+It was computed before coefficients were read and printed without Fraction
+and before the series were built from eliminator rows.
 """
 
 import hashlib
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 from leibniz_lab.algebra import (BasisChange, StructureTable, bracket,
                                  change_of_basis, derivation_algebra,
                                  leibniz_residues, mult_matrix,
                                  series_signature)
+from leibniz_lab.cli import main
 from leibniz_lab.classify import (CanonicalForm, build_canonical, build_L41,
                                   classify_L41, sample_l41_params)
 from leibniz_lab.extensions import (build_extension, derive_relations,
@@ -42,6 +53,7 @@ from leibniz_lab.triangular import triangular
 GOLDEN_SHA256 = "d2c49588cb6b61a667ac36b3bef86efd07cae6d8f684fb1ec8199cb99aa93108"
 RELATIONS_SHA256 = "950d029c01185f2f307130209d382979bbfd102fd05f6201acaca83590d7cbda"
 ELIMINATOR_SHA256 = "fb2060e233e75ab882d297036de9e1f31717edc928474000803e75b03bc08a13"
+CLI_SHA256 = "911ef958d35e4880f800a49090da3483f317ca3455a930d20455e9c04c6a85b5"
 RELATION_GRID = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2))
 
 
@@ -164,3 +176,43 @@ def eliminator_text() -> str:
 
 def test_eliminator_outputs_match_the_golden_digest():
     assert hashlib.sha256(eliminator_text().encode()).hexdigest() == ELIMINATOR_SHA256
+
+
+EXTEND_PARAMS = """# fractional and Gaussian values next to plain integers
+a1_12_12 = 1/2
+a1_23_23 = 3/2
+a1_34_34 = -2
+s11 = -3/4+i
+"""
+
+CLASSIFY_PARAMS = """a_23_23 = 2
+a_23_14 = 3
+b_23_14 = -3
+a_12_24 = 04
+a_34_13 = 5/3
+b_12_14 = -1/2*i
+s_14 = 6
+"""
+
+
+def cli_text(tmp) -> str:
+    """stdout of each command, the tmp directory replaced by "<tmp>"."""
+    (tmp / "ext.params").write_text(EXTEND_PARAMS, encoding="utf-8")
+    (tmp / "l41.params").write_text(CLASSIFY_PARAMS, encoding="utf-8")
+    commands = []
+    for n in (4, 5, 6):
+        path = str(tmp / f"t{n}.json")
+        commands.append(["triangular", "--n", str(n), "--out", path])
+        commands += [[cmd, path] for cmd in ("check", "series", "derivations")]
+    commands += [["extend", "--n", "4", "--f", "1", "--params", str(tmp / "ext.params")],
+                 ["classify-l41", "--params", str(tmp / "l41.params")],
+                 ["verify", "--theorem", "3.4", "--n", "4", "--samples", "4"]]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for argv in commands:
+            print(f"exit {main(argv + ['--format', 'structured'])}")
+    return out.getvalue().replace(str(tmp), "<tmp>")
+
+
+def test_cli_outputs_match_the_golden_digest(tmp_path):
+    assert hashlib.sha256(cli_text(tmp_path).encode()).hexdigest() == CLI_SHA256

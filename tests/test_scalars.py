@@ -4,9 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from leibniz_lab.scalars import I, ONE, ZERO, Poly, Scalar, scalar
+from leibniz_lab.scalars import I, ONE, ZERO, Poly, Scalar, _fmt_ratio, scalar
 
 
 def frac(num, den=1):
@@ -169,6 +169,40 @@ def test_text_round_trip_of_any_scalar(p):
        st.integers(1, 10 ** 6))
 def test_from_ints_normalizes(x, y, d):
     assert_normal(Scalar.from_ints(x, y, d), (Fraction(x, d), Fraction(y, d)))
+
+
+# -- the int fast paths of parse and str ---------------------------------------
+
+digits = st.text("0123456789", min_size=1, max_size=40)
+
+
+@given(st.sampled_from(("", "+", "-")), digits, st.none() | digits)
+@example("-", "0", None)
+@example("+", "0", "7")
+@example("", "007", "0014")
+@example("", "3", "0")
+@example("-", "12", "000")
+def test_parse_of_int_ratios_matches_the_general_path(sign, num, den):
+    """Every text matching [+-]?\\d+(/\\d+)? parses to the Fraction value
+    that the general path (reached here through surrounding spaces) gives,
+    and a zero denominator keeps its message."""
+    text = sign + num + ("" if den is None else "/" + den)
+    if den is not None and not int(den):
+        for t in (text, f" {text} "):
+            with pytest.raises(ValueError) as err:
+                Scalar.parse(t)
+            assert str(err.value) == f"zero denominator in scalar {t!r}"
+        return
+    got = Scalar.parse(text)
+    assert_normal(got, (Fraction(text), 0))
+    assert got == Scalar.parse(f" {text} ") == Scalar(Fraction(text))
+
+
+@given(st.integers(-10 ** 40, 10 ** 40))
+@example(0)
+@example(-1)
+def test_str_of_integers_matches_the_ratio_format(x):
+    assert str(Scalar(x)) == _fmt_ratio(x, 1) == str(Scalar.from_ints(x, 0, 1))
 
 
 # -- Poly --------------------------------------------------------------------
