@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, product
-from math import lcm
+from itertools import chain, combinations, product
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .linalg import (Matrix, RrefAccumulator, Subspace, invert,
-                     kernel_of_sparse_rows)
+from .linalg import Matrix, Subspace, invert, kernel_of_sparse_rows
 from .scalars import ONE, POLY_ZERO, ZERO, Poly, Scalar, _mul_mon, _poly
 
 SCALAR = "scalar"
@@ -269,6 +268,8 @@ def _scalar_residues(view: _IntView, d: int) -> list:
     one multiply-add of a cell by a bracket row and its multiple by i.  A
     component sums 3*d products of two cells.  Residues are quadratic, so
     this finds D**2 times each; only a nonzero one is unpacked, and divided.
+    Residues (i, j, k) and (i, k, j) sum to [e_i, [e_j, e_k] + [e_k, e_j]]:
+    they share their two outer products, so a pair j < k costs four, not six.
     """
     grid, den2 = view.grid, view.den * view.den
     bits = _slot_bits(3 * d * view.size * view.size)
@@ -277,17 +278,24 @@ def _scalar_residues(view: _IntView, d: int) -> list:
     out = []
     for i in range(d):
         gi, pi = grid[i], packed[i]
+        res = [0] * (d * d)         # residue (i, j, k) at j * d + k
         for j in range(d):
             gij, gj = gi[j], grid[j]
-            for k in range(d):
-                gjk, gik = gj[k], gi[k]
-                if gij or gjk or gik:
-                    res = _mac(gjk, pi) - _mac(gij, cols[k]) + _mac(gik, cols[j])
-                    if res:
-                        s = _unpack(res, bits, 2 * d)
-                        out.append(((i, j, k), {r: Scalar.from_ints(s[r], s[d + r], den2)
-                                                for r in _first_met(grid, i, j, k)
-                                                if s[r] or s[d + r]}))
+            if gj[j]:
+                res[j * d + j] = _mac(gj[j], pi)        # the other two terms cancel
+            for k in range(j + 1, d):
+                gjk, gkj, gik = gj[k], grid[k][j], gi[k]
+                if gij or gik or gjk or gkj:
+                    t = _mac(gij, cols[k]) - _mac(gik, cols[j])
+                    res[j * d + k] = _mac(gjk, pi) - t
+                    res[k * d + j] = _mac(gkj, pi) + t
+        for n, r in enumerate(res):
+            if r:
+                j, k = divmod(n, d)
+                s = _unpack(r, bits, 2 * d)
+                out.append(((i, j, k), {m: Scalar.from_ints(s[m], s[d + m], den2)
+                                        for m in _first_met(grid, i, j, k)
+                                        if s[m] or s[d + m]}))
     return out
 
 
@@ -303,23 +311,29 @@ def is_leibniz(a: StructureTable) -> bool:
 
 
 def _is_skew(a: StructureTable) -> bool:
-    """[ei, ej] = -[ej, ei] for all i <= j, so squares vanish too."""
-    d = a.dim
+    """[ei, ej] = -[ej, ei] for all i, j, so squares vanish too."""
     zero = _zero_of(a.ring)
-    for i in range(d):
-        for j in range(i, d):
-            rij = a.row(i, j)
-            rji = a.row(j, i)
-            for k in set(rij) | set(rji):
-                s = rij.get(k, zero) + rji.get(k, zero)
-                if not s.is_zero():
-                    return False
-    return True
+    return all((c + a.row(j, i).get(k, zero)).is_zero()
+               for (i, j), row in a.c.items() for k, c in row.items())
 
 
 def is_lie(a: StructureTable) -> bool:
-    """Leibniz plus a fully skew product (so squares vanish too)."""
-    return _is_skew(a) and is_leibniz(a)
+    """A skew product that is Leibniz.  On a skew table residue (i, j, k) is
+    the Jacobiator J(e_i, e_j, e_k), which is alternating, so i < j < k
+    suffice, at 3 packed products each.  Poly tables take the full scan."""
+    if not _is_skew(a):
+        return False
+    if a.ring != SCALAR:
+        return is_leibniz(a)
+    view = _IntView(a, "is_lie")
+    grid, d = view.grid, a.dim
+    bits = _slot_bits(3 * d * view.size * view.size)
+    packed = [[_pack(cells, bits, d) for cells in gi] for gi in grid]
+    for i, j, k in combinations(range(d), 3):
+        u, v, w = grid[j][k], grid[k][i], grid[i][j]
+        if (u or v or w) and _mac(u, packed[i]) + _mac(v, packed[j]) + _mac(w, packed[k]):
+            return False
+    return True
 
 
 def mult_matrix(a: StructureTable, x: Sequence, side: str) -> Matrix:
@@ -343,47 +357,93 @@ def mult_matrix(a: StructureTable, x: Sequence, side: str) -> Matrix:
     return Matrix([[cols[s][r] for s in range(d)] for r in range(d)], ncols=d)
 
 
-def _int_rows(acc: RrefAccumulator) -> list:
-    """acc's rows by pivot as (index, re, im) ints, times their tails' denominator lcm."""
-    out = []
-    for p in sorted(acc.pivots):
-        den, pairs, _ = _scaled(acc.pivots[p].values())
-        out.append([(p, den, 0)] + [(c, x, y) for c, (x, y) in zip(acc.pivots[p], pairs)])
-    return out
+class _IntSpan:
+    """A span in Q(i)^d as fraction-free rows (lead, re, im) in reduced echelon
+    form: dense int lists, im None on a real row.  Each lead entry is real and
+    positive, the other rows are 0 there, and a row's parts have gcd 1: the
+    unique RREF rows, cleared of denominators."""
+
+    __slots__ = ("d", "rows")
+
+    def __init__(self, d: int):
+        self.d, self.rows = d, []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def add(self, re: list, im: list) -> bool:
+        """Insert re + i*im; returns True if it enlarged the span."""
+        im = im if any(im) else None
+        for p, u, v in self.rows:
+            if re[p] or im and im[p]:
+                re, im = _eliminate(u[p], re, im, re[p], im[p] if im else 0, u, v)
+        if not (im or any(re)):
+            return False
+        p = next(k for k, x in enumerate(re) if x or im and im[k])
+        if im and im[p]:        # times the lead's conjugate: the lead becomes real
+            re, im = _eliminate(re[p], re, im, 0, im[p], re, im)
+        re, im = _primitive(re, im, p)
+        for n, (q, u, v) in enumerate(self.rows):
+            if u[p] or v and v[p]:
+                u, v = _eliminate(re[p], u, v, u[p], v[p] if v else 0, re, im)
+                self.rows[n] = (q, *_primitive(u, v, q))
+        self.rows.append((p, re, im))
+        return True
+
+    def cells(self) -> list:
+        """Each row as sparse (index, re, im) cells."""
+        return [[(k, x, v[k] if v else 0) for k, x in enumerate(u) if x or v and v[k]]
+                for _, u, v in self.rows]
+
+    def to_subspace(self) -> Subspace:
+        return Subspace.from_vectors([[Scalar(x, y) for x, y in zip(u, v or [0] * self.d)]
+                                      for _, u, v in self.rows], self.d)
 
 
-def _bracket_span(grid: list, d: int, us: list, vs: list, bound: int) -> RrefAccumulator:
-    """span [u, v] over the int rows of u = C^k (v = L) or D^k (v = u), bound = dim u.
+def _eliminate(s: int, re: list, im, a: int, b: int, u: list, v) -> tuple:
+    """s * (re + i*im) - (a + b*i) * (u + i*v), im and v None where real."""
+    if im is None and v is None:
+        return [s * x - a * y for x, y in zip(re, u)], None
+    im, v = im or [0] * len(re), v or [0] * len(re)
+    im = [s * w - a * z - b * y for w, y, z in zip(im, u, v)]
+    return [s * x - a * y + b * z for x, y, z in zip(re, u, v)], im if any(im) else None
 
-    A nonzero bracket goes to the eliminator in ints, a nonzero multiple of
-    its value: the span is the same, and its RREF is unique.  The span lies
-    in u, so it stops at dim u.  That holds for any bilinear product: C^2
+
+def _primitive(re: list, im, lead: int) -> tuple:
+    """re + i*im over the gcd of its parts, signed to make re[lead] positive."""
+    g = gcd(*re, *(im or ()))
+    g = g if re[lead] > 0 else -g
+    return [x // g for x in re], im and [y // g for y in im]
+
+
+def _bracket_span(grid: list, d: int, us: list, vs: list, bound: int) -> _IntSpan:
+    """span [u, v] over the row cells u of C^k (v of L) or D^k (v = u), bound = dim u.
+
+    The span lies in u, so it stops at dim u, for any bilinear product: C^2
     lies in L, and C^k in C^{k-1} gives C^{k+1} = [C^k, L] in [C^{k-1}, L] =
     C^k; likewise D^{k+1} = [D^k, D^k] lies in [D^{k-1}, D^{k-1}] = D^k."""
-    acc = RrefAccumulator(d)
+    span = _IntSpan(d)
     for xs, ys in product(us, vs):
         re, im = _bracket_ints(grid, xs, ys, d)
-        if any(re) or any(im):
-            row = {k: Scalar(r, t) for k, (r, t) in enumerate(zip(re, im)) if r or t}
-            if acc.add(row) and acc.dim == bound:
-                break
-    return acc
+        if (any(re) or any(im)) and span.add(re, im) and span.dim == bound:
+            break
+    return span
 
 
 def _series(a: StructureTable, kinds: tuple) -> list:
-    """Each kind's series (derived or not) as accumulators; [L, L] is built once."""
+    """Each kind's series (derived or not) as spans; [L, L] is built once."""
     grid, d = _IntView(a, "series").grid, a.dim
-    full = RrefAccumulator(d)
-    for j in range(d):
-        full.add({j: ONE})
-    units = _int_rows(full)
+    full = _IntSpan(d)
+    full.rows = [(j, [int(k == j) for k in range(d)], None) for j in range(d)]
+    units = full.cells()
     square = _bracket_span(grid, d, units, units, d)
     out = []
     for derived in kinds:
         terms, nxt = [full], square
         while nxt.dim < terms[-1].dim:      # equal ends it, by the argument at _bracket_span
             terms.append(nxt)
-            rows = _int_rows(nxt)
+            rows = nxt.cells()
             nxt = _bracket_span(grid, d, rows, rows if derived else units, nxt.dim)
         out.append(terms)
     return out

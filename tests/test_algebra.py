@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_lab.algebra import (POLY, BasisChange, StructureTable, TableChecks,
-                                 bracket, change_of_basis, derivation_algebra,
-                                 derived_series, dumps_table, is_derivation,
+                                 _IntSpan, _is_skew, bracket, change_of_basis,
+                                 derivation_algebra, derived_series, dumps_table, is_derivation,
                                  is_ideal, is_leibniz, is_lie, is_nilpotent,
                                  is_solvable, leibniz_residues, load_table,
                                  loads_table, lower_central_series,
@@ -333,6 +334,153 @@ def test_residue_at_the_slot_bound(s):
     comps = dict(got)[(0, 1, 2)]
     assert comps[0] == Scalar(10) * s * s
     assert all(comps[r] == -(s * s) for r in (1, 2, 3))
+
+
+def permuted(t, perm):
+    """The table in the basis e'_m = e_perm[m]."""
+    inv = {old: new for new, old in enumerate(perm)}
+    return StructureTable(t.dim, [t.labels[m] for m in perm], {
+        (inv[i], inv[j]): {inv[k]: c for k, c in row.items()} for (i, j), row in t.c.items()})
+
+
+@pytest.mark.parametrize("s", [ONE, Scalar(3), Scalar(Fraction(-1, 2)),
+                               Scalar(0, Fraction(3, 2))])
+def test_derived_partner_at_the_slot_bound(s):
+    """e1 and e2 swapped, the residue at the bound is (0, 2, 1): the partner
+    of (0, 1, 2), found from it and one product."""
+    table = permuted(residue_edge_table(s), [0, 2, 1, 3])
+    got = leibniz_residues(table)
+    assert as_pairs(got) == pair_residues(table)
+    comps = dict(got)[(0, 2, 1)]
+    assert comps[0] == Scalar(10) * s * s
+    assert all(comps[r] == -(s * s) for r in (1, 2, 3))
+
+
+def table3(entries):
+    return StructureTable(3, ["e0", "e1", "e2"], entries)
+
+
+@pytest.mark.parametrize("table, present, absent", [
+    # [e2, e1] = e1, [e0, e1] = e2: residue (0, 1, 2) is 0, its partner is not
+    (table3({(2, 1): {1: ONE}, (0, 1): {2: ONE}}), [(0, 2, 1)], [(0, 1, 2)]),
+    # the outer products at i = 0 vanish: both residues are [e0, [e_j, e_k]]
+    (table3({(1, 2): {0: ONE}, (2, 1): {0: Scalar(2)}, (0, 0): {0: ONE}}),
+     [(0, 1, 2), (0, 2, 1)], []),
+    # a skew pair: [e0, S_12] = 0, so the partner is minus the residue
+    (table3({(1, 2): {0: Scalar(0, 1)}, (2, 1): {0: Scalar(0, -1)}, (0, 0): {0: ONE}}),
+     [(0, 1, 2), (0, 2, 1)], []),
+    # squares: residue (i, j, j) is [e_i, [e_j, e_j]], the outer terms cancel
+    (table3({(1, 1): {2: ONE}, (0, 2): {0: Scalar(-3)}, (0, 1): {1: ONE}}),
+     [(0, 1, 1)], []),
+    # ... and with [e0, e2] = 0, residue (0, 1, 1) is 0 though [[e0, e1], e1] is not
+    (table3({(1, 1): {2: ONE}, (0, 1): {1: ONE}}), [(0, 0, 1)], [(0, 1, 1)]),
+], ids=["partner only", "symmetrised only", "skew pair", "squares", "cancelled square"])
+def test_paired_scan_on_chosen_tables(table, present, absent):
+    got = leibniz_residues(table)
+    assert as_pairs(got) == pair_residues(table)
+    assert all(t in dict(got) for t in present)
+    assert not any(t in dict(got) for t in absent)
+
+
+@st.composite
+def skew_tables(draw):
+    """A drawn table minus its transpose: skew, and rarely Lie."""
+    t = draw(random_tables())
+    entries = {}
+    for (i, j), row in t.c.items():
+        for k, c in row.items():
+            for key, v in (((i, j), c), ((j, i), -c)):
+                out = entries.setdefault(key, {})
+                out[k] = out.get(k, ZERO) + v
+    return StructureTable(t.dim, t.labels, entries)
+
+
+@st.composite
+def skew_spoiled_lie_tables(draw):
+    """T(3) or T(4), perhaps moved, with c added to [e_i, e_j] and -c to [e_j, e_i]."""
+    source = draw(st.sampled_from((triangular(3), T4)))
+    if draw(st.booleans()):
+        source = change_of_basis(source, seeded_change(source.dim, draw(st.integers(0, 99))))
+    i, j = draw(st.lists(st.integers(0, source.dim - 1), min_size=2, max_size=2, unique=True))
+    k = draw(st.integers(0, source.dim - 1))
+    c = draw(gaussians)
+    entries = {key: dict(row) for key, row in source.c.items()}
+    for key, v in (((i, j), c), ((j, i), -c)):
+        row = entries.setdefault(key, {})
+        row[k] = row.get(k, ZERO) + v
+    return StructureTable(source.dim, source.labels, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_tables(), skew_tables(), skew_spoiled_lie_tables()))
+def test_is_lie_matches_skewness_and_the_residue_scan(table):
+    assert _is_skew(table) == is_skew(table)
+    assert is_lie(table) == (is_skew(table) and pair_residues(table) == [])
+
+
+def test_is_lie_on_lie_tables_and_their_spoiled_copies():
+    lie = [triangular(3), T4, triangular(5), change_of_basis(T4, seeded_change(6, 1))]
+    assert all(is_lie(t) for t in lie)
+    entries = {key: dict(row) for key, row in T4.c.items()}
+    entries[(0, 1)] = {3: Scalar(2)}
+    entries[(1, 0)] = {3: Scalar(-2)}
+    spoiled = StructureTable(6, T4.labels, entries)
+    assert is_skew(spoiled) and not is_lie(spoiled)
+    for t in (T4, spoiled):     # Poly tables take the full residue scan
+        consts = StructureTable(6, t.labels, {key: {k: Poly.const(c) for k, c in row.items()}
+                                              for key, row in t.c.items()}, ring=POLY)
+        assert is_lie(consts) == is_lie(t)
+
+
+# -- the series' fraction-free span against the eliminator --------------------
+
+big = st.integers(-10 ** 30, 10 ** 30)
+entry = st.one_of(st.just(0), st.integers(-3, 3), big)
+
+
+@st.composite
+def int_vectors(draw):
+    """(d, [(re, im)]): real or Gaussian int vectors, d <= 8, some of them
+    zero or Gaussian-int combinations of earlier ones."""
+    d = draw(st.integers(1, 8))
+    gaussian = draw(st.booleans())
+    vecs = []
+    for _ in range(draw(st.integers(0, 10))):
+        if vecs and draw(st.booleans()):
+            re, im = [0] * d, [0] * d
+            for u, v in draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3)):
+                a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5)) if gaussian else 0
+                re = [x + a * p - b * q for x, p, q in zip(re, u, v)]
+                im = [y + a * q + b * p for y, p, q in zip(im, u, v)]
+        else:
+            re = draw(st.lists(entry, min_size=d, max_size=d))
+            im = draw(st.lists(entry, min_size=d, max_size=d)) if gaussian else [0] * d
+        vecs.append((re, im))
+    return d, vecs
+
+
+def assert_span_rows(span):
+    """Real positive leads, zeros at the other leads, echelon, content 1."""
+    leads = [p for p, _, _ in span.rows]
+    for p, u, v in span.rows:
+        im = v or [0] * len(u)
+        assert v is None or any(v)
+        assert u[p] > 0 and im[p] == 0
+        assert not any(u[:p]) and not any(im[:p])
+        assert all(u[q] == im[q] == 0 for q in leads if q != p)
+        assert math.gcd(*u, *im) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_vectors())
+def test_int_span_matches_the_eliminator(case):
+    d, vecs = case
+    span, acc = _IntSpan(d), RrefAccumulator(d)
+    for re, im in vecs:
+        assert span.add(list(re), list(im)) == acc.add([Scalar(x, y) for x, y in zip(re, im)])
+        assert span.dim == acc.dim
+        assert_span_rows(span)
+    assert span.to_subspace() == acc.to_subspace()
 
 
 HADAMARD = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]

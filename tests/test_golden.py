@@ -27,6 +27,12 @@ parameter files that mix integer, fractional and Gaussian values, and
 `verify --theorem`.  The temporary directory is replaced by a fixed token.
 It was computed before coefficients were read and printed without Fraction
 and before the series were built from eliminator rows.
+
+The fifth digest pins the verdicts on `golden_text`'s pool, its integer and
+Gaussian transported copies, and one spoiled and one skew-spoiled copy of
+each: `is_leibniz`, `is_lie`, `series_signature` and every row coefficient
+of both series.  It was computed before the series terms were built as
+fraction-free integer rows and before `is_lie` tested Jacobiators.
 """
 
 import hashlib
@@ -37,8 +43,9 @@ from fractions import Fraction
 
 from leibniz_lab.algebra import (BasisChange, StructureTable, bracket,
                                  change_of_basis, derivation_algebra,
-                                 leibniz_residues, mult_matrix,
-                                 series_signature)
+                                 derived_series, is_leibniz, is_lie,
+                                 leibniz_residues, lower_central_series,
+                                 mult_matrix, series_signature)
 from leibniz_lab.cli import main
 from leibniz_lab.classify import (CanonicalForm, build_canonical, build_L41,
                                   classify_L41, sample_l41_params)
@@ -47,13 +54,14 @@ from leibniz_lab.extensions import (build_extension, derive_relations,
                                     sample_extension_specs,
                                     verify_max_extension_is_lie)
 from leibniz_lab.linalg import Matrix
-from leibniz_lab.scalars import ONE, Scalar
+from leibniz_lab.scalars import ONE, ZERO, Scalar
 from leibniz_lab.triangular import triangular
 
 GOLDEN_SHA256 = "d2c49588cb6b61a667ac36b3bef86efd07cae6d8f684fb1ec8199cb99aa93108"
 RELATIONS_SHA256 = "950d029c01185f2f307130209d382979bbfd102fd05f6201acaca83590d7cbda"
 ELIMINATOR_SHA256 = "fb2060e233e75ab882d297036de9e1f31717edc928474000803e75b03bc08a13"
 CLI_SHA256 = "911ef958d35e4880f800a49090da3483f317ca3455a930d20455e9c04c6a85b5"
+VERDICTS_SHA256 = "5bba4c20de712bcd513518f35b9fd820387ad8a7f592e3cea259f1a89d64151b"
 RELATION_GRID = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2))
 
 
@@ -91,6 +99,18 @@ def spoiled(t: StructureTable, rng: random.Random) -> StructureTable:
     k = rng.choice(sorted(entries[key]))
     entries[key][k] = entries[key][k] + Scalar(Fraction(1, rng.choice((1, 5, 7))),
                                                rng.choice((0, 1)))
+    return StructureTable(t.dim, t.labels, entries)
+
+
+def skew_spoiled(t: StructureTable, rng: random.Random) -> StructureTable:
+    """c added to [e_i, e_j] and -c to [e_j, e_i], i != j: a skew table stays skew."""
+    entries = {key: dict(row) for key, row in t.c.items()}
+    i, j = rng.sample(range(t.dim), 2)
+    k = rng.randrange(t.dim)
+    c = Scalar(Fraction(rng.choice((1, -2)), rng.choice((1, 3))), rng.choice((0, 1)))
+    for key, v in (((i, j), c), ((j, i), -c)):
+        row = entries.setdefault(key, {})
+        row[k] = row.get(k, ZERO) + v
     return StructureTable(t.dim, t.labels, entries)
 
 
@@ -216,3 +236,28 @@ def cli_text(tmp) -> str:
 
 def test_cli_outputs_match_the_golden_digest(tmp_path):
     assert hashlib.sha256(cli_text(tmp_path).encode()).hexdigest() == CLI_SHA256
+
+
+def verdict_lines(name: str, t: StructureTable) -> list:
+    lines = [f"{name} verdicts {is_leibniz(t)} {is_lie(t)} {series_signature(t)!r}"]
+    for kind, series in (("lower", lower_central_series(t)), ("derived", derived_series(t))):
+        lines.append(f"{name} {kind} {[rows_text(s.mat.rows) for s in series]!r}")
+    return lines
+
+
+def verdicts_text() -> str:
+    rng = random.Random(2025)
+    lines = []
+    for name, t in pool():
+        copies = [(name, t)] + [(f"{name} {kind}", change_of_basis(t, change(t.dim, rng)))
+                                for kind, change in (("int", integer_change),
+                                                     ("gauss", gaussian_change))]
+        for label, c in copies:
+            lines += verdict_lines(label, c)
+            lines += verdict_lines(f"{label} spoiled", spoiled(c, rng))
+            lines += verdict_lines(f"{label} skew-spoiled", skew_spoiled(c, rng))
+    return "\n".join(lines) + "\n"
+
+
+def test_verdicts_match_the_golden_digest():
+    assert hashlib.sha256(verdicts_text().encode()).hexdigest() == VERDICTS_SHA256
