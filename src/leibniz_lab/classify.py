@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .algebra import BasisChange, StructureTable, change_of_basis, is_lie, right_annihilator, series_signature
-from .extensions import ExtensionSpec, first_violated_restriction, reduced_extension
+from .extensions import (ExtensionSpec, first_violated_restriction, is_skew_point,
+                         reduced_extension)
 from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar
 from .symsolve import random_nonzero_scalar, random_scalar
@@ -101,6 +102,13 @@ def build_L41(p: L41Params) -> StructureTable:
     return reduced_extension(4, 1).to_scalar(p.family_point())
 
 
+# What keeps L1, L2 and L42 off the skew locus, in their residual parameters;
+# `is_skew_point` on the form's family point decides it.
+_OFF_SKEW = {"L1": "(b_12_14, s_14) != (0, 0)",
+             "L2": "(a_23_14 + b_23_14, s_14) != (0, 0)",
+             "L42": "(s11, s12 + s21, s22) != (0, 0, 0)"}
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """Identifier plus residual parameters of a canonical table."""
@@ -119,39 +127,37 @@ class CanonicalForm:
         for name in self.params:
             if name not in allowed:
                 raise ValueError(f"unknown parameter {name!r} for form {self.id}")
-        if self.id == "L1":
-            if self.param("b_12_14").is_zero() and self.param("s_14").is_zero():
-                raise ValueError("L1 requires (b_12_14, s_14) != (0, 0); "
-                                 "the table is skew otherwise")
-        elif self.id == "L2":
-            s = self.param("a_23_14") + self.param("b_23_14")
-            if s.is_zero() and self.param("s_14").is_zero():
-                raise ValueError("L2 requires (a_23_14 + b_23_14, s_14) != (0, 0); "
-                                 "the table is skew otherwise")
-        elif self.id == "L3":
+        if self.id == "L3":
             a = self.param("a_23_23")
             if (a * (ONE + a)).is_zero():
                 raise ValueError("L3 requires a_23_23 outside {0, -1}")
+        elif is_skew_point(*self.family_point()):
+            raise ValueError(f"{self.id} requires {_OFF_SKEW[self.id]}; "
+                             "the table is skew otherwise")
+
+    def family_point(self) -> tuple:
+        """(n, f, point): the table as a point of the reduced (n, f) family.
+
+        L42 is a (4, 2) point, the rest L41 points."""
+        if self.id == "L42":
+            # generator diagonals (1, 0, -1) and (0, 1, -1)
+            params = {"a1_12_12": ONE, "a1_34_34": -ONE, "a2_23_23": ONE,
+                      "a2_34_34": -ONE, **self.params}
+            return 4, 2, ExtensionSpec(4, 2, params).assignment()
+        if self.id == "L1":
+            point = L41Params(a_23_23=ONE, **self.params)
+        elif self.id == "L2":
+            point = L41Params(a_12_12=ONE, **self.params)
         else:
-            if all(self.param(k).is_zero() for k in L42_PARAM_NAMES):
-                raise ValueError("L42 requires a nonzero generator square table")
+            point = L41Params(a_12_12=ONE, s_14=ONE, **self.params)
+        return 4, 1, point.family_point()
 
 
 def build_canonical(form: CanonicalForm) -> StructureTable:
-    """The canonical table: L42 a (4, 2) family point, the rest L41 points."""
+    """The canonical table of a valid form."""
     form.validate()
-    if form.id == "L42":
-        # generator diagonals (1, 0, -1) and (0, 1, -1)
-        params = {"a1_12_12": ONE, "a1_34_34": -ONE, "a2_23_23": ONE,
-                  "a2_34_34": -ONE, **form.params}
-        return reduced_extension(4, 2).to_scalar(ExtensionSpec(4, 2, params).assignment())
-    if form.id == "L1":
-        point = L41Params(a_23_23=ONE, **form.params)
-    elif form.id == "L2":
-        point = L41Params(a_12_12=ONE, **form.params)
-    else:
-        point = L41Params(a_12_12=ONE, s_14=ONE, **form.params)
-    return reduced_extension(4, 1).to_scalar(point.family_point())
+    n, f, point = form.family_point()
+    return reduced_extension(n, f).to_scalar(point)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from .algebra import POLY, StructureTable, is_lie, leibniz_residues
 from .linalg import Matrix, RrefAccumulator
 from .scalars import ONE, ZERO, Poly, Scalar
 from .symsolve import (LinearSpan, draw_kernel_point, equation_rref,
-                       kernel_sampler, poly_combination, random_kernel_vector,
-                       random_scalar)
+                       kernel_sampler, random_kernel_vector, random_scalar)
 from .triangular import (allowed_offdiagonal, corner_index, generator_label,
                          nil_independent_count, pair_index, pairs, triangular)
 
@@ -293,8 +292,8 @@ def derive_relations(n: int, f: int, seed: int = 0,
     substitute the solved relations into the table and scan it again: the
     bracket is bilinear and substitution a ring map, so its residues are the
     substituted ones, found from a few small entries.  What
-    survives substitution must be homogeneous quadratic; those leftovers are
-    compared against the stated parameter products on the zero-trace slice.
+    survives substitution must be homogeneous quadratic; on the zero-trace
+    slice each leftover is tested for membership in the stated products' span.
     Seeded points on the stated products' zero set then check the covered
     leftovers; that is a consistency check of the points, not a proof.
     """
@@ -312,12 +311,11 @@ def derive_relations(n: int, f: int, seed: int = 0,
     sub: dict = {}
     rounds = 0
     for _ in range(8):
-        fresh = linear_forms_in_span(current)
-        grown = LinearSpan(derived + fresh)
-        if grown.dim == span.dim:
+        fresh = [p for p in linear_forms_in_span(current) if not span.contains(p)]
+        if not fresh:
             break
         rounds += 1
-        span = grown
+        span = LinearSpan(derived + fresh)
         derived = span.basis_forms()
         sub = solve_linear_forms(derived)
         current = _coefficients(leibniz_residues(gen.substitute(sub)))
@@ -350,13 +348,13 @@ def derive_relations(n: int, f: int, seed: int = 0,
     flat = _tracefree_substitution(n, f)
     stated_flat = [q.substitute(flat) for q in stated]
     residual_flat = _dedupe_monic(q.substitute(flat) for q in quadratics)
+    stated_span = RrefAccumulator()  # one column per monomial
+    for q in stated_flat:
+        stated_span.add(q.terms)
     covered = []
     extras = []
     for q in residual_flat:
-        if poly_combination(stated_flat, q) is not None:
-            covered.append(q)
-        else:
-            extras.append(q)
+        (covered if stated_span.contains(q.terms) else extras).append(q)
 
     names: set = set()
     for q in list(residual_flat) + stated_flat:
@@ -414,7 +412,8 @@ def _sample_stated_variety(factor_pairs: Sequence[tuple], stated: Sequence[Poly]
 
     Each point zeroes one randomly chosen factor of every pair, so it lies
     on the zero set of the `stated` products; one that does not raises
-    RuntimeError.  The equations' RREF is built once per factor-choice
+    RuntimeError.  A factor's variables are its product's, so all are in
+    `variables`.  The equations' RREF is built once per factor-choice
     pattern and kept for this call only, as a `kernel_sampler`, and each
     polynomial is tested for zero in ints.  No variables means no points.
     """
@@ -429,8 +428,7 @@ def _sample_stated_variety(factor_pairs: Sequence[tuple], stated: Sequence[Poly]
         pattern = tuple(rng.choice((0, 1)) for _ in factor_pairs)
         sampler = samplers.get(pattern)
         if sampler is None:
-            chosen = [pair[k] for pair, k in zip(factor_pairs, pattern)
-                      if pair[k].indeterminates() <= pos.keys()]
+            chosen = [pair[k] for pair, k in zip(factor_pairs, pattern)]
             sampler = samplers[pattern] = kernel_sampler(equation_rref(chosen, variables))
         xs, ys, den = draw_kernel_point(sampler, rng)
         if not all(_vanishes(q, xs, ys, den) for q in stated_terms):
@@ -579,14 +577,23 @@ class ExtensionSpec:
 def build_extension(spec: ExtensionSpec, verify: bool = True) -> StructureTable:
     """Assemble the concrete table for a parameter point.
 
-    The stated restrictions are necessary, not sufficient, so by default the
-    result is checked against the full bracket identity and rejected with the
-    violating basis triple.
+    The generators' diagonal vectors must be independent, or a nonzero
+    combination of them acts nilpotently and the nilradical is larger than
+    T(n).  The stated restrictions are necessary, not sufficient, so by
+    default the result is checked against the full bracket identity and
+    rejected with the violating basis triple.
     """
     desc = spec.violated_restriction()
     if desc is not None:
         raise ValueError(f"parameter restriction violated: {desc} must vanish")
-    table = reduced_extension(spec.n, spec.f).to_scalar(spec.assignment())
+    n, f = spec.n, spec.f
+    point = spec.assignment()
+    rank = nil_independent_count([[point[name] for name in diagonal_names(n, f, al)]
+                                  for al in range(1, f + 1)])
+    if rank < f:
+        raise ValueError(f"the generators' diagonal vectors have rank {rank} < f = {f}, "
+                         "so a combination of them acts nilpotently")
+    table = reduced_extension(n, f).to_scalar(point)
     if verify:
         bad = leibniz_residues(table)
         if bad:
@@ -734,7 +741,8 @@ def _draw_diagonals(n: int, f: int, rng: random.Random,
     return vecs
 
 
-def _params_are_skew(n: int, f: int, params: Mapping[str, Scalar]) -> bool:
+def is_skew_point(n: int, f: int, params: Mapping[str, Scalar]) -> bool:
+    """Whether a point of the reduced (n, f) family zeroes every `skew_forms`."""
     return all(form.evaluate(params).is_zero() for form in skew_forms(n, f))
 
 
@@ -762,7 +770,7 @@ def sample_extension_specs(n: int, f: int, count: int, seed: int = 0,
             mode = branch
         vecs = _draw_diagonals(n, f, rng, tracefree=(mode == "nonlie"))
         params = _solve_with_diagonal(n, f, vecs, rng)
-        if mode == "nonlie" and _params_are_skew(n, f, params):
+        if mode == "nonlie" and is_skew_point(n, f, params):
             key = sigma_param(1, 1)
             params[key] = params.get(key, ZERO) + ONE
         specs.append(ExtensionSpec(n=n, f=f,
@@ -841,7 +849,7 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
                 if nil_independent_count(vecs) == f:
                     break
         params = _solve_with_diagonal(n, f, vecs, rng)
-        if corrupt and _params_are_skew(n, f, params):
+        if corrupt and is_skew_point(n, f, params):
             key = sigma_param(1, 1)
             params[key] = params.get(key, ZERO) + ONE
         table = reduced_extension(n, f).to_scalar(params)

@@ -1,8 +1,8 @@
 """Linear algebra over named indeterminates and seeded rational sampling.
 
-Bridges Poly values and the exact matrix kernel: spans of linear forms,
-membership of a polynomial in the scalar span of others, affine solving,
-and deterministic random points used by the sampling-based checks.
+Bridges Poly values and the exact eliminator: spans of linear forms, the
+RREF of homogeneous linear equations, and deterministic random points of
+its null space used by the sampling-based checks.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, RrefAccumulator
-from .scalars import ONE, ZERO, Poly, Scalar
+from .linalg import RrefAccumulator
+from .scalars import ONE, Poly, Scalar
 
 
 class LinearSpan:
@@ -60,43 +60,6 @@ class LinearSpan:
 
     def __repr__(self) -> str:
         return f"LinearSpan(dim={self.dim})"
-
-
-def affine_solve(m: Matrix, rhs: Sequence[Scalar]) -> list:
-    """One exact solution of m x = rhs; raises ValueError when inconsistent.
-
-    The right-hand side is the last column: the system is inconsistent
-    exactly when that column carries a pivot.
-    """
-    if m.nrows != len(rhs):
-        raise ValueError("right-hand side length mismatch")
-    acc = RrefAccumulator(m.ncols + 1)
-    for row, b in zip(m.rows, rhs):
-        acc.add(list(row) + [b])
-    if m.ncols in acc.pivots:
-        raise ValueError("inconsistent linear system")
-    x = [ZERO] * m.ncols
-    for p, row in acc.pivots.items():
-        x[p] = row.get(m.ncols, ZERO)
-    return x
-
-
-def poly_combination(generators: Sequence[Poly], target: Poly):
-    """Coefficients expressing target as a scalar combination, or None."""
-    if target.is_zero():
-        return [ZERO] * len(generators)
-    monomials = set(target.terms)
-    for g in generators:
-        monomials |= set(g.terms)
-    monomials = sorted(monomials)
-    if not generators:
-        return None
-    rows = [[g.coefficient(mon) for g in generators] for mon in monomials]
-    rhs = [target.coefficient(mon) for mon in monomials]
-    try:
-        return affine_solve(Matrix(rows, ncols=len(generators)), rhs)
-    except ValueError:
-        return None
 
 
 def equation_rref(polys: Iterable[Poly], variables: Sequence[str]) -> RrefAccumulator:
@@ -158,12 +121,6 @@ def random_kernel_vector(acc: RrefAccumulator, rng: random.Random) -> list:
     """`draw_kernel_point` on acc's rows, as Scalars."""
     xs, ys, den = draw_kernel_point(kernel_sampler(acc), rng)
     return [Scalar.from_ints(x, y, den) for x, y in zip(xs, ys)]
-
-
-def solution_point(polys: Iterable[Poly], variables: Sequence[str],
-                   rng: random.Random) -> dict:
-    """A random exact point in the common zero set of linear equations."""
-    return dict(zip(variables, random_kernel_vector(equation_rref(polys, variables), rng)))
 
 
 def random_scalar(rng: random.Random, lo: int = -9, hi: int = 9) -> Scalar:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .algebra import POLY, SCALAR, StructureTable
 from .linalg import Matrix, RrefAccumulator
-from .scalars import NEG_ONE, ONE, ZERO
+from .scalars import NEG_ONE, ONE, POLY_ZERO, ZERO
 
 
 def pairs(n: int) -> tuple:
@@ -52,8 +53,6 @@ def triangular(n: int):
     from its nonzero brackets alone: [N_ij, N_jl] = N_il and
     [N_ij, N_ki] = -N_kj, O(n^3) of them among the O(n^4) pairs.
     """
-    from .algebra import SCALAR, StructureTable
-
     if n < 3:
         raise ValueError("triangular table requires n >= 3")
     ps = pairs(n)
@@ -90,9 +89,6 @@ def structure_matrices(ext, n: int, alpha: int) -> StructureMatrices:
         raise ValueError("table has no generators beyond the triangular part")
     if not (1 <= alpha <= f):
         raise ValueError(f"generator index {alpha} out of range for f={f}")
-    from .algebra import POLY
-    from .scalars import POLY_ZERO
-
     zero = POLY_ZERO if ext.ring == POLY else ZERO
     xi = d + alpha - 1
     a_rows = []

@@ -1,15 +1,17 @@
 """The 7-dimensional family: building, classifying, canonical targets."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from leibniz_lab.algebra import (StructureTable, change_of_basis, is_leibniz,
                                  is_lie, series_signature)
-from leibniz_lab.classify import (CanonicalForm, L41Params, build_canonical,
+from leibniz_lab.classify import (L1_PARAM_NAMES, L2_PARAM_NAMES, L42_PARAM_NAMES,
+                                  CanonicalForm, L41Params, build_canonical,
                                   build_L41, classify_L41, distinguish,
                                   sample_l41_params)
-from leibniz_lab.extensions import verify_corner_annihilation
+from leibniz_lab.extensions import reduced_extension, verify_corner_annihilation
 from leibniz_lab.scalars import ONE, ZERO, Scalar
 from leibniz_lab.triangular import (diagonal_vector, nil_independent_count,
                                     structure_matrices)
@@ -202,8 +204,22 @@ def test_canonical_form_validations():
     for bad in (ZERO, -ONE):
         with pytest.raises(ValueError, match="outside"):
             build_canonical(CanonicalForm("L3", {"a_23_23": bad}))
-    with pytest.raises(ValueError, match="nonzero generator square"):
-        build_canonical(CanonicalForm("L42", {}))
+    for square in ({}, {"s12": ONE, "s21": -ONE}):
+        with pytest.raises(ValueError, match="skew otherwise"):
+            build_canonical(CanonicalForm("L42", square))
+
+
+@pytest.mark.parametrize("form_id", ["L1", "L2", "L42"])
+def test_canonical_forms_reject_exactly_their_lie_points(form_id):
+    names = {"L1": L1_PARAM_NAMES, "L2": L2_PARAM_NAMES, "L42": L42_PARAM_NAMES}[form_id]
+    for values in product((ZERO, ONE, -ONE), repeat=len(names)):
+        form = CanonicalForm(form_id, dict(zip(names, values)))
+        n, f, point = form.family_point()
+        if is_lie(reduced_extension(n, f).to_scalar(point)):
+            with pytest.raises(ValueError, match="the table is skew otherwise"):
+                form.validate()
+        else:
+            form.validate()
 
 
 def test_canonical_tables_are_leibniz_non_lie():
@@ -233,9 +249,12 @@ def test_two_generator_table():
 
 
 def test_two_generator_invariant_is_only_necessary():
-    # a nonzero square table can still be skew overall
-    t = build_canonical(CanonicalForm("L42", {"s12": ONE, "s21": -ONE}))
-    assert is_lie(t)
+    # a nonzero square table can still be skew overall; that point is no L42
+    form = CanonicalForm("L42", {"s12": ONE, "s21": -ONE})
+    n, f, point = form.family_point()
+    assert is_lie(reduced_extension(n, f).to_scalar(point))
+    with pytest.raises(ValueError, match=r"L42 requires \(s11, s12 \+ s21, s22\)"):
+        build_canonical(form)
 
 
 def test_series_signatures_frozen():

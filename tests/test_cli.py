@@ -93,6 +93,16 @@ def test_extend_rejects_inadmissible_points(tmp_path, capsys):
     assert "bracket identity fails" in capsys.readouterr().err
 
 
+def test_extend_rejects_nil_dependent_generators(tmp_path, capsys):
+    params = write(tmp_path / "nil.params", "s11 = 1\n")
+    out = tmp_path / "nil.json"
+    report = run(["extend", "--n", "4", "--f", "1", "--params", params,
+                  "--out", str(out)])
+    assert report.exit_code == 2
+    assert "acts nilpotently" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_accepts_extension(extension_file):
     report = run(["check", extension_file])
     assert report.exit_code == 0
@@ -266,6 +276,16 @@ def test_canonical_command(tmp_path):
                   "--out", str(out)])
     assert report.exit_code == 0
     assert load_table(str(out)).dim == 8
+
+
+def test_canonical_rejects_skew_points(tmp_path, capsys):
+    params = write(tmp_path / "skew.params", "s12 = 1\ns21 = -1\n")
+    out = tmp_path / "l42.json"
+    report = run(["canonical", "--form", "L42", "--params", params,
+                  "--out", str(out)])
+    assert report.exit_code == 2
+    assert "the table is skew otherwise" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_canonical_requires_valid_residual_params(tmp_path, capsys):

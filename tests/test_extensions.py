@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from leibniz_lab import extensions
-from leibniz_lab.algebra import is_leibniz, is_lie, leibniz_residues
+from leibniz_lab.algebra import is_leibniz, is_lie, is_nilpotent, leibniz_residues
 from leibniz_lab.extensions import (ExtensionSpec, _int_poly, _reduced_coefficients,
                                     _sample_stated_variety,
                                     _tracefree_substitution, _vanishes, a_name, b_name,
@@ -349,6 +349,21 @@ def test_builder_rejects_restricted_products():
     assert spec.violated_restriction() is not None
     with pytest.raises(ValueError, match="restriction violated"):
         build_extension(spec)
+
+
+def test_builder_rejects_nil_dependent_generators():
+    """Dependent generator diagonals leave a nilpotent combination, so the
+    nilradical is larger than T(n)."""
+    spec = ExtensionSpec(n=4, f=1, params={"s11": ONE})
+    assert is_nilpotent(reduced_extension(4, 1).to_scalar(spec.assignment()))
+    with pytest.raises(ValueError, match=r"rank 0 < f = 1, so a combination of them "
+                                         "acts nilpotently"):
+        build_extension(spec)
+    spec = ExtensionSpec(n=4, f=2, params={
+        "a1_12_12": ONE, "a1_34_34": -ONE, "a2_12_12": sc(2), "a2_34_34": sc(-2),
+        "s12": ONE})
+    with pytest.raises(ValueError, match=r"rank 1 < f = 2"):
+        build_extension(spec, verify=False)
 
 
 def test_stated_restrictions_are_not_sufficient():

@@ -33,6 +33,13 @@ Gaussian transported copies, and one spoiled and one skew-spoiled copy of
 each: `is_leibniz`, `is_lie`, `series_signature` and every row coefficient
 of both series.  It was computed before the series terms were built as
 fraction-free integer rows and before `is_lie` tested Jacobiators.
+
+The sixth digest pins the structured stdout of the commands the fourth
+leaves out: `verify --lemma` at (3, 1) and (4, 2), `verify --eq 3` on the
+fourth digest's `extend` output, and `canonical` at one valid point of each
+form, with the file each writes.  It was computed before `derive_relations`
+split the residual quadratics on one span of the stated products, and
+before `extend` and `canonical` rejected nil-dependent and skew points.
 """
 
 import hashlib
@@ -62,6 +69,7 @@ RELATIONS_SHA256 = "950d029c01185f2f307130209d382979bbfd102fd05f6201acaca83590d7
 ELIMINATOR_SHA256 = "fb2060e233e75ab882d297036de9e1f31717edc928474000803e75b03bc08a13"
 CLI_SHA256 = "911ef958d35e4880f800a49090da3483f317ca3455a930d20455e9c04c6a85b5"
 VERDICTS_SHA256 = "5bba4c20de712bcd513518f35b9fd820387ad8a7f592e3cea259f1a89d64151b"
+COMMANDS_SHA256 = "82c79f3bfa051a27a49f8581c0c191dc88c0efb9f94d9b1076314ad87217b483"
 RELATION_GRID = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2))
 
 
@@ -236,6 +244,42 @@ def cli_text(tmp) -> str:
 
 def test_cli_outputs_match_the_golden_digest(tmp_path):
     assert hashlib.sha256(cli_text(tmp_path).encode()).hexdigest() == CLI_SHA256
+
+
+CANONICAL_PARAMS = {
+    "L1": "a_12_24 = 2\nb_12_14 = 1\ns_14 = 3\n",
+    "L2": "a_23_14 = 2\nb_23_14 = -1\ns_14 = 1/2\n",
+    "L3": "a_23_23 = 2+i\n",
+    "L42": "s11 = 1\ns12 = 2\ns21 = -1\ns22 = 3*i\n",
+}
+
+
+def commands_text(tmp) -> str:
+    """stdout of each command and the file it writes, the tmp directory
+    replaced by "<tmp>"."""
+    (tmp / "ext.params").write_text(EXTEND_PARAMS, encoding="utf-8")
+    ext = tmp / "ext.json"
+    commands = [(["verify", "--lemma", "3.1", "--n", "3"], None),
+                (["verify", "--lemma", "3.2", "--n", "4", "--f", "2"], None),
+                (["extend", "--n", "4", "--f", "1", "--params", str(tmp / "ext.params"),
+                  "--out", str(ext)], ext),
+                (["verify", "--eq", "3", str(ext)], None)]
+    for form, text in CANONICAL_PARAMS.items():
+        (tmp / f"{form}.params").write_text(text, encoding="utf-8")
+        out = tmp / f"{form}.json"
+        commands.append((["canonical", "--form", form, "--params",
+                          str(tmp / f"{form}.params"), "--out", str(out)], out))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for argv, written in commands:
+            print(f"exit {main(argv + ['--format', 'structured'])}")
+            if written is not None:
+                print(written.read_text(encoding="utf-8"))
+    return out.getvalue().replace(str(tmp), "<tmp>")
+
+
+def test_command_outputs_match_the_golden_digest(tmp_path):
+    assert hashlib.sha256(commands_text(tmp_path).encode()).hexdigest() == COMMANDS_SHA256
 
 
 def verdict_lines(name: str, t: StructureTable) -> list:

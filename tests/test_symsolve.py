@@ -1,4 +1,4 @@
-"""Linear-form bookkeeping and exact solving over named indeterminates."""
+"""Linear-form bookkeeping and exact kernel points over named indeterminates."""
 
 import random
 from fractions import Fraction
@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibniz_lab.linalg import Matrix, RrefAccumulator, Subspace
+from leibniz_lab.linalg import RrefAccumulator, Subspace
 from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
-from leibniz_lab.symsolve import (LinearSpan, affine_solve, poly_combination,
-                                  random_kernel_vector, random_nonzero_scalar,
-                                  random_scalar, solution_point)
+from leibniz_lab.symsolve import (LinearSpan, equation_rref, random_kernel_vector,
+                                  random_nonzero_scalar, random_scalar)
 
 x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
 
@@ -36,41 +35,26 @@ def test_linear_span_dedupes():
     assert LinearSpan([x, x.scale(sc(3)), Poly.zero()]).dim == 1
 
 
-def test_affine_solve():
-    m = Matrix([[ONE, ONE], [ONE, -ONE]], ncols=2)
-    sol = affine_solve(m, [sc(3), sc(1)])
-    assert sol == [sc(2), sc(1)]
-    bad = Matrix([[ONE, ONE], [ONE, ONE]], ncols=2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        affine_solve(bad, [ZERO, ONE])
-
-
-def test_poly_combination():
-    gens = [x * y + z, z]
-    coeffs = poly_combination(gens, x * y)
-    assert coeffs == [ONE, -ONE]
-    assert poly_combination(gens, x) is None
-    assert poly_combination(gens, x * y + z.scale(sc(5))) is not None
-    assert poly_combination(gens, y) is None
-
-
 def test_solution_point_solves_exactly():
     rng = random.Random(0)
     eqs = [x + y, y - z]
+    acc = equation_rref(eqs, ["x", "y", "z"])
     for _ in range(10):
-        point = solution_point(eqs, ["x", "y", "z"], rng)
+        point = dict(zip("xyz", random_kernel_vector(acc, rng)))
         for eq in eqs:
             assert eq.evaluate(point).is_zero()
     # full-rank system pins everything at zero
-    point = solution_point([x, y, z], ["x", "y", "z"], random.Random(1))
-    assert all(v.is_zero() for v in point.values())
+    point = random_kernel_vector(equation_rref([x, y, z], ["x", "y", "z"]), random.Random(1))
+    assert all(v.is_zero() for v in point)
 
 
 def test_solution_point_rejects_nonhomogeneous_input():
-    with pytest.raises(ValueError):
-        solution_point([x + Poly.const(1)], ["x"], random.Random(0))
-    with pytest.raises(ValueError):
-        solution_point([x * y], ["x", "y"], random.Random(0))
+    with pytest.raises(ValueError, match="not a homogeneous linear equation"):
+        equation_rref([x + Poly.const(1)], ["x"])
+    with pytest.raises(ValueError, match="not a homogeneous linear equation"):
+        equation_rref([x * y], ["x", "y"])
+    with pytest.raises(ValueError, match="outside the given list"):
+        equation_rref([x + y], ["x"])
 
 
 def test_random_helpers_are_seeded():
@@ -148,6 +132,6 @@ def test_a_zero_kernel_gives_zeros_without_a_draw():
 
 def test_solution_points_span_the_kernel():
     rng = random.Random(6)
-    points = [solution_point([x + y], ["x", "y", "z"], rng) for _ in range(50)]
-    got = Subspace.from_vectors([[p["x"], p["y"], p["z"]] for p in points])
+    acc = equation_rref([x + y], ["x", "y", "z"])
+    got = Subspace.from_vectors([random_kernel_vector(acc, rng) for _ in range(50)])
     assert got == Subspace.from_vectors([[ONE, -ONE, ZERO], [ZERO, ZERO, ONE]])
