@@ -9,10 +9,9 @@ spans demands the scalar ring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, invert, kernel_of_sparse_rows
 from .scalars import ONE, POLY_ZERO, ZERO, Poly, Scalar, _mul_mon, _poly
@@ -708,8 +707,7 @@ def load_table(path: str) -> StructureTable:
         return loads_table(fh.read())
 
 
-@dataclass(frozen=True)
-class TableChecks:
+class TableChecks(NamedTuple):
     """Summary verdicts used by the command line 'check'."""
 
     leibniz: bool

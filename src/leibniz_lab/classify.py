@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .algebra import BasisChange, StructureTable, change_of_basis, is_lie, right_annihilator, series_signature
 from .extensions import (ExtensionSpec, first_violated_restriction, is_skew_point,
@@ -51,8 +50,7 @@ _L41_TEXT = {family: name for name, family in FAMILY_NAMES.items()}
 _L41_TEXT["a1_34_34"] = "(a_12_12 + a_23_23)"
 
 
-@dataclass(frozen=True)
-class L41Params:
+class L41Params(NamedTuple):
     """Parameter point for the one-generator family over the n = 4 nilradical."""
 
     a_12_12: Scalar = ZERO
@@ -109,8 +107,7 @@ _OFF_SKEW = {"L1": "(b_12_14, s_14) != (0, 0)",
              "L42": "(s11, s12 + s21, s22) != (0, 0, 0)"}
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Identifier plus residual parameters of a canonical table."""
 
     id: str
@@ -160,8 +157,7 @@ def build_canonical(form: CanonicalForm) -> StructureTable:
     return reduced_extension(n, f).to_scalar(point)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Canonical form, exact witness, and the branch that produced them."""
 
     form: CanonicalForm

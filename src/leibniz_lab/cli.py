@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .algebra import (TableChecks, derivation_algebra, dumps_table, load_table,
                       save_table, series_signature, table_to_document)
@@ -64,11 +64,10 @@ def triangular_size(text: str) -> int:
     return value
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     verdicts: dict
-    artifacts: list = field(default_factory=list)
+    artifacts: Sequence[str] = ()
     exit_code: int = 0
 
 

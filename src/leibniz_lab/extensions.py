@@ -13,10 +13,9 @@ concrete members for the statistical checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import POLY, StructureTable, is_lie, leibniz_residues
 from .linalg import Matrix, RrefAccumulator
@@ -240,8 +239,7 @@ def _tracefree_substitution(n: int, f: int) -> dict:
     return sub
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(NamedTuple):
     """Outcome of deriving the relations forced on the generic extension."""
 
     n: int
@@ -297,9 +295,9 @@ def derive_relations(n: int, f: int, seed: int = 0,
     Seeded points on the stated products' zero set then check the covered
     leftovers; that is a consistency check of the points, not a proof.
     """
-    _check_rank(n, f)
     if n > 6:
         raise ValueError("relation derivation is capped at n = 6")
+    _check_rank(n, f)
     if sample_points < 0:
         raise ValueError(f"sample_points must be >= 0, got {sample_points}")
     gen = generic_extension(n, f)
@@ -550,20 +548,27 @@ def skew_forms(n: int, f: int) -> tuple:
     return tuple(forms)
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """A concrete parameter point for the reduced extension family."""
-
+class _ExtensionSpecFields(NamedTuple):
     n: int
     f: int
     params: Mapping[str, Scalar]
 
-    def __post_init__(self):
-        known = set(master_param_names(self.n, self.f))
-        for name in self.params:
+
+class ExtensionSpec(_ExtensionSpecFields):
+    """A concrete parameter point for the reduced extension family."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, f: int, params: Mapping[str, Scalar]):
+        known = set(master_param_names(n, f))
+        for name in params:
             if name not in known:
-                raise ValueError(
-                    f"unknown parameter {name!r} for n={self.n}, f={self.f}")
+                raise ValueError(f"unknown parameter {name!r} for n={n}, f={f}")
+        return super().__new__(cls, n, f, params)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here: check it too
+        return cls(*iterable)
 
     def assignment(self) -> dict:
         full = {name: ZERO for name in master_param_names(self.n, self.f)}
@@ -790,8 +795,7 @@ def maximal_extension_spec(n: int, seed: int = 0) -> ExtensionSpec:
                                            if not v.is_zero()})
 
 
-@dataclass(frozen=True)
-class MaxExtensionCheck:
+class MaxExtensionCheck(NamedTuple):
     """Evidence that the full-rank extension family is skew throughout."""
 
     n: int

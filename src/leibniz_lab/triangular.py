@@ -8,8 +8,8 @@ row/column indexing of action matrices follows this order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import POLY, SCALAR, StructureTable
 from .linalg import Matrix, RrefAccumulator
@@ -68,8 +68,7 @@ def triangular(n: int):
     return StructureTable(len(ps), labels, dict(sorted(entries.items())), ring=SCALAR)
 
 
-@dataclass(frozen=True)
-class StructureMatrices:
+class StructureMatrices(NamedTuple):
     """Right/left action matrices of one extension generator on the N basis."""
 
     n: int
@@ -119,8 +118,7 @@ def allowed_offdiagonal(n: int) -> frozenset:
     return frozenset(allowed)
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Verdicts on the right-action matrix of one generator."""
 
     upper_triangular: bool

@@ -232,6 +232,12 @@ def test_verify_defaults_apply_in_the_mode_that_reads_them():
     assert run(["verify", "--theorem", "3.4", "--n", "4"]).verdicts["samples"] == 100
 
 
+@pytest.mark.parametrize("n", [7, 9])
+def test_verify_lemma_names_its_own_cap(n, capsys):
+    assert main(["verify", "--lemma", "3.2", "--n", str(n)]) == 2
+    assert "relation derivation is capped at n = 6" in capsys.readouterr().err
+
+
 def test_verify_identity_needs_standard_labels(tmp_path, capsys):
     odd = StructureTable(2, ["u", "v"], {})
     path = tmp_path / "odd.json"

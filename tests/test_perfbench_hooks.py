@@ -1,21 +1,25 @@
-"""The benchmark's tracer wraps program names; they must keep existing.
+"""The benchmark's hooks into the program must keep working.
 
 `perfbench/tracing.py` names methods and functions of the package directly.
 A rename there would make `perfbench/run.py --trace 1` fail, so this checks
-every name it uses against the package.
+every name it uses against the package.  The checks of
+`perfbench/workloads.py` must also turn down a wrong result record.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # @dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -29,14 +33,37 @@ def program_function(qualname):
 
 
 def test_traced_methods_are_defined_on_their_classes():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for short, cls_name, meth in tracing.METHODS:
         cls = getattr(importlib.import_module(f"leibniz_lab.{short}"), cls_name)
         assert meth in vars(cls), f"{short}.{cls_name}.{meth}"
 
 
 def test_hooked_and_shared_functions_exist():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     names = set(tracing.Tracer({})._hooks()) | set(tracing.SHARED)
     missing = sorted(n for n in names if not program_function(n))
     assert not missing
+
+
+def test_workload_checks_turn_down_a_wrong_record(tmp_path, monkeypatch):
+    """A wrong copy made with `_replace`, as the benchmark's self-test means to
+    make one, fails the check of a `relations` and a `session` operation."""
+    workloads = load_perfbench("workloads")
+    lab = workloads.load_program()
+    op = workloads.relations(lab, 5, tmp_path, tiny=True).ops[0]
+    rep = op.call()
+    assert op.check(rep) is None
+    assert op.check(rep._replace(derived_linear=rep.derived_linear[1:])) is not None
+
+    ops = [op for op in workloads.session(lab, 5, tmp_path, tiny=True).ops
+           if op.name == "classify-l41"]
+    assert ops and all(op.check(op.call()) is None for op in ops)
+    classify_L41 = lab["cli"].classify_L41
+
+    def misfile(p):
+        res = classify_L41(p)
+        return res._replace(case="1" if res.case != "1" else "2.1")
+
+    monkeypatch.setattr(lab["cli"], "classify_L41", misfile)
+    assert all(op.check(op.call()) is not None for op in ops)
