@@ -8,7 +8,6 @@ spans demands the scalar ring.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, combinations, product
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
@@ -660,6 +659,8 @@ def table_from_document(doc: Mapping) -> StructureTable:
         for field in ("left", "right", "value"):
             if field not in rec:
                 raise ValueError(f"bracket record is missing field {field!r}")
+        if not isinstance(rec["left"], str) or not isinstance(rec["right"], str):
+            raise ValueError("bracket fields 'left' and 'right' must be strings")
         try:
             i, j = index[rec["left"]], index[rec["right"]]
         except KeyError as exc:
@@ -672,6 +673,8 @@ def table_from_document(doc: Mapping) -> StructureTable:
                 raise ValueError("bracket term must be an object")
             if "coef" not in term or "basis" not in term:
                 raise ValueError("bracket term must carry 'coef' and 'basis'")
+            if not isinstance(term["basis"], str):
+                raise ValueError("bracket term field 'basis' must be a string")
             if term["basis"] not in index:
                 raise ValueError(f"bracket term references unknown label {term['basis']!r}")
             k = index[term["basis"]]
@@ -684,10 +687,12 @@ def table_from_document(doc: Mapping) -> StructureTable:
 
 
 def dumps_table(a: StructureTable) -> str:
+    import json
     return json.dumps(table_to_document(a), indent=2) + "\n"
 
 
 def loads_table(text: str) -> StructureTable:
+    import json
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

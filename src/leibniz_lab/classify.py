@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
 from .algebra import BasisChange, StructureTable, change_of_basis, is_lie, right_annihilator, series_signature
@@ -27,7 +26,7 @@ from .symsolve import random_nonzero_scalar, random_scalar
 # unused here; perfbench/selftest.py checks that tracing reaches this copy
 from .triangular import triangular  # noqa: F401
 
-HALF = Scalar(Fraction(1, 2))
+HALF = Scalar.from_ints(1, 0, 2)
 
 L41_PARAM_NAMES = ("a_12_12", "a_12_24", "b_12_14", "a_23_23", "a_23_14",
                    "b_23_14", "a_34_13", "b_34_14", "s_14")

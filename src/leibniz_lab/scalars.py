@@ -8,39 +8,39 @@ tolerance-free.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
 from math import gcd
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # "p" or "p/q" with q > 0, the text of most coefficients: read straight into ints
 _RE_INT_RATIO = re.compile(r"([+-]?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)
+# text form: "p/q", "±r/s*i" or "p/q±r/s*i"; unit denominators omitted, a
+# lone imaginary unit is "i", and a real part needs a sign before the "i" part
+_RE_GAUSSIAN = re.compile(r"(?:([+-]?\d+)(?:/(\d+))?)?"
+                          r"(?:((?(1)[+-]|[+-]?))(?:(\d+)(?:/(\d+))?\*)?(i))?", re.ASCII)
+_RE_SPACED_OP = re.compile(r" *([-+*/]) *")
+_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 class Scalar:
     """An element (x + y*i)/d of Q(i): ints with d > 0 and gcd(x, y, d) = 1.
 
     The normal form is unique, so equality compares the three ints.  The
-    constructor takes the real and imaginary parts as ints or Fractions.
+    constructor takes the real and imaginary parts as ints, Fractions, or
+    anything else `Fraction` converts (floats, Decimals, text).
     """
 
     __slots__ = ("x", "y", "d")
-
-    # text form: "p/q", "p/q+r/s*i", "p/q-r/s*i"; unit denominators omitted,
-    # a lone imaginary unit prints as "i" (compiled before the `re` property
-    # below shadows the module in this class body)
-    _RE_REAL = re.compile(r"^([+-]?\d+(?:/\d+)?)$", re.ASCII)
-    _RE_IMAG = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
-    _RE_BOTH = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-])(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
-    _RE_SPACED_OP = re.compile(r" *([-+*/]) *")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
         if type(re) is int and type(im) is int:
             self.x, self.y, self.d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        (p, q), (r, s) = _ratio(re), _ratio(im)
         # parts in lowest terms over d = lcm of their denominators: already normal
-        p, q = re.numerator, re.denominator
-        r, s = im.numerator, im.denominator
         d = q * s // gcd(q, s)
         self.x, self.y, self.d = p * (d // q), r * (d // s), d
 
@@ -51,10 +51,12 @@ class Scalar:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.x, self.d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.y, self.d)
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -95,7 +97,7 @@ class Scalar:
         # the hash of the (re, im) Fraction pair, which is (x, y)'s when d == 1
         if self.d == 1:
             return hash((self.x, self.y))
-        return hash((self.re, self.im))
+        return hash((_ratio_hash(self.x, self.d), _ratio_hash(self.y, self.d)))
 
     def is_zero(self) -> bool:
         return not self.x and not self.y
@@ -132,20 +134,34 @@ class Scalar:
         if m:
             return _reduced(int(m.group(1)), 0, int(m.group(2) or 1))
         # spaces may flank an operator, never split a number
-        s = cls._RE_SPACED_OP.sub(r"\1", text.strip())
-        m = cls._RE_REAL.match(s)
-        if m:
-            return cls(Fraction(m.group(1)))
-        m = cls._RE_IMAG.match(s)
-        if m:
-            mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            return cls(0, -mag if m.group(1) == "-" else mag)
-        m = cls._RE_BOTH.match(s)
-        if m:
-            re_ = Fraction(m.group(1))
-            mag = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-            return cls(re_, -mag if m.group(2) == "-" else mag)
-        raise ValueError(f"cannot parse scalar {text!r}")
+        m = _RE_GAUSSIAN.fullmatch(_RE_SPACED_OP.sub(r"\1", text.strip()))
+        if not m or not m.group():
+            raise ValueError(f"cannot parse scalar {text!r}")
+        p, q, sign, r, s, unit = m.groups()
+        q, s = int(q or 1), int(s or 1)
+        if not q or not s:
+            raise ZeroDivisionError
+        y = int(r or 1) if unit else 0
+        return _reduced(int(p or 0) * s, (-y if sign == "-" else y) * q, q * s)
+
+
+def _ratio(v) -> tuple:
+    """(numerator, denominator) of a rational part in lowest terms."""
+    if type(getattr(v, "numerator", None)) is not int:
+        from fractions import Fraction
+        v = Fraction(v)
+    return v.numerator, v.denominator
+
+
+def _ratio_hash(n: int, d: int) -> int:
+    """An int with the hash of Fraction(n, d), by Python's documented numeric hash."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    try:
+        h = abs(n) * pow(d, -1, _MODULUS) % _MODULUS
+    except ValueError:                  # d is a multiple of the modulus
+        h = _HASH_INF
+    return h if n >= 0 else -h          # hash() takes -1 to -2, as Fraction's does
 
 
 def _fmt_ratio(num: int, den: int) -> str:

@@ -8,7 +8,6 @@ its null space used by the sampling-based checks.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -125,9 +124,9 @@ def random_kernel_vector(acc: RrefAccumulator, rng: random.Random) -> list:
 
 def random_scalar(rng: random.Random, lo: int = -9, hi: int = 9) -> Scalar:
     """Small random element of Q(i); imaginary part present one draw in four."""
-    re = Fraction(rng.randint(lo, hi), rng.choice((1, 1, 1, 2, 3)))
-    im = Fraction(rng.randint(lo, hi)) if rng.random() < 0.25 else Fraction(0)
-    return Scalar(re, im)
+    p, q = rng.randint(lo, hi), rng.choice((1, 1, 1, 2, 3))
+    r = rng.randint(lo, hi) if rng.random() < 0.25 else 0
+    return Scalar.from_ints(p, r * q, q)
 
 
 def random_nonzero_scalar(rng: random.Random, lo: int = -9, hi: int = 9) -> Scalar:

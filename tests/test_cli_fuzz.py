@@ -81,7 +81,10 @@ BREAKS = ([_drop(field) for field in ("dim", "labels", "brackets")]
                                       {"left": "a", "right": "a", "value": "1"},
                                       {"left": "a", "right": "a", "value": ["x"]},
                                       {"left": "a", "right": "a", "value": [{"coef": "1"}]},
-                                      _term("1", basis="zz"))]
+                                      _term("1", basis="zz"),
+                                      {"left": ["a"], "right": "a", "value": []},
+                                      {"left": "a", "right": ["a"], "value": []},
+                                      _term("1", basis=["a"]))]
           + [_add_record(_term(c)) for c in BAD_COEFS])
 
 NOT_A_DOCUMENT = ("", "{", "[1, 2]", "3", "null", '"doc"', "NaN", "{} {}", "٣")
@@ -116,6 +119,16 @@ def test_algebra_documents_hold_the_contract(workdir, document, command):
     elif malformed is False and command[0] != "verify":
         # well-formed tables are analysed; only `verify --eq` needs a layout
         assert code in (0, 1), text
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+def test_every_break_exits_2(workdir, command):
+    """Every listed break exits 2 on a one-label table, not only those the fuzzer draws."""
+    path = workdir / "break.json"
+    for brk in BREAKS:
+        text = json.dumps(brk({"dim": 1, "labels": ["a"], "brackets": []}))
+        path.write_text(text, encoding="utf-8")
+        assert invoke(command + [str(path)]) == 2, text
 
 
 # -- parameter files ---------------------------------------------------------

@@ -4,7 +4,8 @@ Each record is a `typing.NamedTuple`: its repr lists the fields in order,
 it cannot be assigned to, and two records with equal fields are equal and
 hash alike (a record holding a dict or a Matrix is unhashable, as its
 field tuple is).  Neither the library nor the CLI loads `dataclasses` or
-`inspect`, which together took about half of a cold `import leibniz_lab`.
+`inspect`, which together took about half of a cold `import leibniz_lab`,
+nor `fractions` with `decimal` and `numbers`; the library loads no `json`.
 """
 
 import subprocess
@@ -105,12 +106,15 @@ def test_report_artifacts_default_to_an_empty_tuple():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-             "import leibniz_lab.cli; print(leibniz_lab.__file__); "
-             "print(*sorted(set(sys.modules) - before))")
+             "import leibniz_lab; print(leibniz_lab.__file__); "
+             "print(*sorted(set(sys.modules) - before)); "
+             "import leibniz_lab.cli; print(*sorted(set(sys.modules) - before))")
     done = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC)],
                           capture_output=True, text=True, timeout=60, check=True)
-    where, loaded = done.stdout.splitlines()
+    where, by_library, by_cli = done.stdout.splitlines()
     assert Path(where).resolve().parent.parent == SRC
-    loaded = set(loaded.split())
-    assert "leibniz_lab.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    by_library, by_cli = set(by_library.split()), set(by_cli.split())
+    assert "leibniz_lab.scalars" in by_library and "leibniz_lab.cli" in by_cli
+    # the CLI prints JSON, so it alone loads `json`
+    assert not by_library & {"dataclasses", "inspect", "fractions", "decimal", "numbers", "json"}
+    assert not by_cli & {"dataclasses", "inspect", "fractions", "decimal", "numbers"}

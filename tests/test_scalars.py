@@ -1,7 +1,10 @@
 """Field arithmetic in Q(i) and sparse polynomial behavior."""
 
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -203,6 +206,148 @@ def test_parse_of_int_ratios_matches_the_general_path(sign, num, den):
 @example(-1)
 def test_str_of_integers_matches_the_ratio_format(x):
     assert str(Scalar(x)) == _fmt_ratio(x, 1) == str(Scalar.from_ints(x, 0, 1))
+
+
+# -- parse, against the Fraction-based parser it replaced ------------------------
+
+_ORACLE_INT_RATIO = re.compile(r"([+-]?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)
+_ORACLE_REAL = re.compile(r"^([+-]?\d+(?:/\d+)?)$", re.ASCII)
+_ORACLE_IMAG = re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
+_ORACLE_BOTH = re.compile(r"^([+-]?\d+(?:/\d+)?)([+-])(?:(\d+(?:/\d+)?)\*)?i$", re.ASCII)
+_ORACLE_SPACED_OP = re.compile(r" *([-+*/]) *")
+
+
+def oracle_parse(text):
+    """The (re, im) Fraction pair that the Fraction-based parser read."""
+    try:
+        return _oracle_parse(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
+
+
+def _oracle_parse(text):
+    m = _ORACLE_INT_RATIO.fullmatch(text)
+    if m:
+        return Fraction(int(m.group(1)), int(m.group(2) or 1)), Fraction(0)
+    s = _ORACLE_SPACED_OP.sub(r"\1", text.strip())
+    m = _ORACLE_REAL.match(s)
+    if m:
+        return Fraction(m.group(1)), Fraction(0)
+    m = _ORACLE_IMAG.match(s)
+    if m:
+        mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        return Fraction(0), -mag if m.group(1) == "-" else mag
+    m = _ORACLE_BOTH.match(s)
+    if m:
+        mag = Fraction(m.group(3)) if m.group(3) else Fraction(1)
+        return Fraction(m.group(1)), -mag if m.group(2) == "-" else mag
+    raise ValueError(f"cannot parse scalar {text!r}")
+
+
+short_digits = st.text("0123456789", min_size=1, max_size=4)
+ratios = st.builds(lambda n, d: n if d is None else f"{n}/{d}", short_digits,
+                   st.none() | short_digits | st.sampled_from(("0", "00")))
+signs = st.sampled_from(("", "+", "-"))
+# mostly nothing or a space, else a symbol or digit that may break the form
+inserts = st.sampled_from(("",) * 12 + (" ",) * 6 + ("\t", "\n", "+", "-", "/", "*", "i",
+                                                    "0", "x", "٣", "１", "."))
+
+
+@st.composite
+def scalar_texts(draw):
+    """A signed real part, a signed imaginary part, or both; in half of the
+    texts, an insert before each character: spaces around operators or inside
+    numbers, doubled signs, leading zeros and stray symbols."""
+    has_real = draw(st.booleans())
+    text = draw(signs) + (draw(ratios) if has_real else "")
+    if not has_real or draw(st.booleans()):
+        mag = draw(st.none() | ratios)
+        text += (draw(signs) if has_real else "") + ("i" if mag is None else mag + "*i")
+    if draw(st.booleans()):
+        return text
+    cuts = draw(st.lists(inserts, min_size=len(text) + 1, max_size=len(text) + 1))
+    return "".join(cut + c for cut, c in zip(cuts, text)) + cuts[-1]
+
+
+@given(st.one_of(scalar_texts(), st.text(max_size=8),
+                 st.text("0123456789+-/*i ٣", max_size=10)))
+@example("")
+@example("i")
+@example("-i")
+@example(" + i ")
+@example("7/0")
+@example("-3/00*i")
+@example("1/0+0/0*i")
+@example("1/2+3/0*i")
+@example("007/0014-0003/006*i")
+@example("1 / 2 - 3 / 4 * i")
+@example("1/ 2 3")
+@example("١/٢")
+@example("1+２*i")
+@example("1\n+i")
+@example(" \n-5\t")
+def test_parse_matches_the_fraction_parser(text):
+    try:
+        want = oracle_parse(text)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            Scalar.parse(text)
+        assert str(got.value) == str(err)
+        return
+    assert_normal(Scalar.parse(text), want)
+
+
+# -- the constructor, re, im and hash, against their Fraction forms ------------
+
+def fraction_parts(re_, im):
+    """(x, y, d) as a constructor that converted both parts to Fractions built it."""
+    re_, im = Fraction(re_), Fraction(im)
+    d = lcm(re_.denominator, im.denominator)
+    return re_.numerator * (d // re_.denominator), im.numerator * (d // im.denominator), d
+
+
+parts_of_any_type = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20), st.booleans(), st.fractions(max_denominator=10 ** 12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.decimals(min_value=-10 ** 6, max_value=10 ** 6, allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=50).map(str),
+    st.sampled_from(("1.5", "-2e-3", " 7 ", "1_000", "3/6", "-0")))
+
+
+@given(parts_of_any_type, parts_of_any_type)
+@example(True, False)
+@example(Decimal("0.25"), 0.5)
+def test_constructor_matches_the_fraction_parts(re_, im):
+    s = Scalar(re_, im)
+    assert (s.x, s.y, s.d) == fraction_parts(re_, im)
+    assert type(s.re) is Fraction and type(s.im) is Fraction
+    assert (s.re, s.im) == (Fraction(re_), Fraction(im))
+    assert hash(s) == hash((s.re, s.im))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), Decimal("NaN"), "x", "1/0",
+                                 None, [1], Scalar(1)])
+def test_constructor_rejects_what_fraction_rejects(bad):
+    with pytest.raises(Exception) as want:
+        Fraction(bad)
+    with pytest.raises(want.type):
+        Scalar(bad)
+    with pytest.raises(want.type):
+        Scalar(0, bad)
+
+
+MODULUS = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("s", [
+    Scalar.from_ints(1, 0, MODULUS),              # no inverse mod P: the hash of inf
+    Scalar.from_ints(-1, 2, MODULUS),             # and of -inf
+    Scalar.from_ints(MODULUS, 1, MODULUS),        # re = 1 over a denominator P
+    Scalar.from_ints(-(MODULUS + 2), 0, 2),       # hash -1, which Python makes -2
+    Scalar.from_ints(3, -(2 * MODULUS + 2), 2),
+    Scalar.from_ints(6, 9, 15)], ids=str)
+def test_hash_at_the_edges_of_the_numeric_hash(s):
+    assert hash(s) == hash((s.re, s.im)) == hash((Fraction(s.x, s.d), Fraction(s.y, s.d)))
 
 
 # -- Poly --------------------------------------------------------------------

@@ -135,3 +135,20 @@ def test_solution_points_span_the_kernel():
     acc = equation_rref([x + y], ["x", "y", "z"])
     got = Subspace.from_vectors([random_kernel_vector(acc, rng) for _ in range(50)])
     assert got == Subspace.from_vectors([[ONE, -ONE, ZERO], [ZERO, ZERO, ONE]])
+
+
+def fraction_random_scalar(rng, lo=-9, hi=9):
+    """The (re, im) Fraction pair, drawn in the order random_scalar draws."""
+    re_ = Fraction(rng.randint(lo, hi), rng.choice((1, 1, 1, 2, 3)))
+    im = Fraction(rng.randint(lo, hi)) if rng.random() < 0.25 else Fraction(0)
+    return re_, im
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-2, 30)])
+def test_random_scalar_draws_like_the_fraction_formula(lo, hi):
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            s = random_scalar(ours, lo, hi)
+            assert (s.re, s.im) == fraction_random_scalar(theirs, lo, hi)
+            assert ours.getstate() == theirs.getstate()
