@@ -8,12 +8,12 @@ spans demands the scalar ring.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from itertools import chain, combinations, product
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, invert, kernel_of_sparse_rows
-from .scalars import ONE, POLY_ZERO, ZERO, Poly, Scalar, _mul_mon, _poly
+from .scalars import ONE, POLY_ZERO, ZERO, Poly, Record, Scalar, _mul_mon, _poly
 
 SCALAR = "scalar"
 POLY = "poly"
@@ -695,7 +695,7 @@ def loads_table(text: str) -> StructureTable:
     import json
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"malformed algebra file: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("algebra file must hold a single object")
@@ -712,7 +712,7 @@ def load_table(path: str) -> StructureTable:
         return loads_table(fh.read())
 
 
-class TableChecks(NamedTuple):
+class TableChecks(Record):
     """Summary verdicts used by the command line 'check'."""
 
     leibniz: bool

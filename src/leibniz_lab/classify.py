@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Mapping, NamedTuple, Optional
+from collections.abc import Mapping
 
 from .algebra import BasisChange, StructureTable, change_of_basis, is_lie, right_annihilator, series_signature
 from .extensions import (ExtensionSpec, first_violated_restriction, is_skew_point,
                          reduced_extension)
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Record, Scalar
 from .symsolve import random_nonzero_scalar, random_scalar
 # unused here; perfbench/selftest.py checks that tracing reaches this copy
 from .triangular import triangular  # noqa: F401
@@ -49,7 +49,7 @@ _L41_TEXT = {family: name for name, family in FAMILY_NAMES.items()}
 _L41_TEXT["a1_34_34"] = "(a_12_12 + a_23_23)"
 
 
-class L41Params(NamedTuple):
+class L41Params(Record):
     """Parameter point for the one-generator family over the n = 4 nilradical."""
 
     a_12_12: Scalar = ZERO
@@ -78,7 +78,7 @@ class L41Params(NamedTuple):
         point["a1_34_34"] = -(self.a_12_12 + self.a_23_23)
         return point
 
-    def restriction_violation(self) -> Optional[str]:
+    def restriction_violation(self) -> str | None:
         desc = first_violated_restriction(4, 1, self.family_point())
         if desc is None:
             return None
@@ -106,7 +106,7 @@ _OFF_SKEW = {"L1": "(b_12_14, s_14) != (0, 0)",
              "L42": "(s11, s12 + s21, s22) != (0, 0, 0)"}
 
 
-class CanonicalForm(NamedTuple):
+class CanonicalForm(Record):
     """Identifier plus residual parameters of a canonical table."""
 
     id: str
@@ -156,13 +156,13 @@ def build_canonical(form: CanonicalForm) -> StructureTable:
     return reduced_extension(n, f).to_scalar(point)
 
 
-class Classification(NamedTuple):
+class Classification(Record):
     """Canonical form, exact witness, and the branch that produced them."""
 
     form: CanonicalForm
     witness: BasisChange
     case: str
-    note: Optional[str] = None
+    note: str | None = None
 
 
 def classify_L41(p: L41Params) -> Classification:

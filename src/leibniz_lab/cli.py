@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .algebra import (TableChecks, derivation_algebra, dumps_table, load_table,
                       save_table, series_signature, table_to_document)
 from .classify import CanonicalForm, L41Params, build_canonical, classify_L41
 from .extensions import (ExtensionSpec, build_extension, derive_relations,
                          verify_corner_annihilation, verify_max_extension_is_lie)
-from .scalars import Scalar
+from .scalars import Record, Scalar
 from .triangular import generator_label, triangular
 
 
@@ -64,7 +64,7 @@ def triangular_size(text: str) -> int:
     return value
 
 
-class Report(NamedTuple):
+class Report(Record):
     command: str
     verdicts: dict
     artifacts: Sequence[str] = ()
@@ -366,9 +366,7 @@ PARSER = build_parser()
 
 def _emit(report: Report, fmt: str) -> None:
     if fmt == "structured":
-        doc = {"command": report.command, "verdicts": report.verdicts,
-               "artifacts": report.artifacts, "exit_code": report.exit_code}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(report._asdict(), indent=2))
         return
     if report.exit_code == 2:
         return

@@ -13,13 +13,13 @@ concrete members for the statistical checks.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import POLY, StructureTable, is_lie, leibniz_residues
 from .linalg import Matrix, RrefAccumulator
-from .scalars import ONE, ZERO, Poly, Scalar
+from .scalars import ONE, ZERO, Poly, Record, Scalar
 from .symsolve import (LinearSpan, draw_kernel_point, equation_rref,
                        kernel_sampler, random_kernel_vector, random_scalar)
 from .triangular import (allowed_offdiagonal, corner_index, generator_label,
@@ -239,7 +239,7 @@ def _tracefree_substitution(n: int, f: int) -> dict:
     return sub
 
 
-class ResidueReport(NamedTuple):
+class ResidueReport(Record):
     """Outcome of deriving the relations forced on the generic extension."""
 
     n: int
@@ -548,16 +548,12 @@ def skew_forms(n: int, f: int) -> tuple:
     return tuple(forms)
 
 
-class _ExtensionSpecFields(NamedTuple):
+class ExtensionSpec(Record):
+    """A concrete parameter point for the reduced extension family."""
+
     n: int
     f: int
     params: Mapping[str, Scalar]
-
-
-class ExtensionSpec(_ExtensionSpecFields):
-    """A concrete parameter point for the reduced extension family."""
-
-    __slots__ = ()
 
     def __new__(cls, n: int, f: int, params: Mapping[str, Scalar]):
         known = set(master_param_names(n, f))
@@ -565,10 +561,6 @@ class ExtensionSpec(_ExtensionSpecFields):
             if name not in known:
                 raise ValueError(f"unknown parameter {name!r} for n={n}, f={f}")
         return super().__new__(cls, n, f, params)
-
-    @classmethod
-    def _make(cls, iterable):  # `_replace` builds through here: check it too
-        return cls(*iterable)
 
     def assignment(self) -> dict:
         full = {name: ZERO for name in master_param_names(self.n, self.f)}
@@ -795,7 +787,7 @@ def maximal_extension_spec(n: int, seed: int = 0) -> ExtensionSpec:
                                            if not v.is_zero()})
 
 
-class MaxExtensionCheck(NamedTuple):
+class MaxExtensionCheck(Record):
     """Evidence that the full-rank extension family is skew throughout."""
 
     n: int

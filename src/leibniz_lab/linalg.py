@@ -8,7 +8,7 @@ order, and subspaces compare equal exactly when their rows do.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar
 

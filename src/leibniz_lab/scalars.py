@@ -2,26 +2,29 @@
 
 Every quantity in this package is either a Gaussian rational or a polynomial
 with Gaussian rational coefficients, so all downstream checks are exact and
-tolerance-free.
+tolerance-free.  `Record` is the tuple base of the package's result records.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Mapping
 from math import gcd
-from typing import TYPE_CHECKING, Mapping, Union
+from operator import itemgetter
 
+TYPE_CHECKING = False  # type checkers take it as True; no need to import `typing`
 if TYPE_CHECKING:
     from fractions import Fraction
 
 # "p" or "p/q" with q > 0, the text of most coefficients: read straight into ints
 _RE_INT_RATIO = re.compile(r"([+-]?\d+)(?:/(0*[1-9]\d*))?", re.ASCII)
 # text form: "p/q", "±r/s*i" or "p/q±r/s*i"; unit denominators omitted, a
-# lone imaginary unit is "i", and a real part needs a sign before the "i" part
-_RE_GAUSSIAN = re.compile(r"(?:([+-]?\d+)(?:/(\d+))?)?"
-                          r"(?:((?(1)[+-]|[+-]?))(?:(\d+)(?:/(\d+))?\*)?(i))?", re.ASCII)
-_RE_SPACED_OP = re.compile(r" *([-+*/]) *")
+# lone imaginary unit is "i", and a real part needs a sign before the "i" part;
+# only texts other than "p" and "p/q" reach it, so `re` compiles it on first need
+_GAUSSIAN = (r"(?:([+-]?\d+)(?:/(\d+))?)?"
+             r"(?:((?(1)[+-]|[+-]?))(?:(\d+)(?:/(\d+))?\*)?(i))?")
+_SPACED_OP = r" *([-+*/]) *"
 _MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
@@ -35,7 +38,7 @@ class Scalar:
 
     __slots__ = ("x", "y", "d")
 
-    def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         if type(re) is int and type(im) is int:
             self.x, self.y, self.d = re, im, 1
             return
@@ -134,7 +137,7 @@ class Scalar:
         if m:
             return _reduced(int(m.group(1)), 0, int(m.group(2) or 1))
         # spaces may flank an operator, never split a number
-        m = _RE_GAUSSIAN.fullmatch(_RE_SPACED_OP.sub(r"\1", text.strip()))
+        m = re.fullmatch(_GAUSSIAN, re.sub(_SPACED_OP, r"\1", text.strip()), re.ASCII)
         if not m or not m.group():
             raise ValueError(f"cannot parse scalar {text!r}")
         p, q, sign, r, s, unit = m.groups()
@@ -213,7 +216,7 @@ NEG_ONE = Scalar(-1)
 I = Scalar(0, 1)
 
 
-def scalar(x: Union[int, Fraction, str, Scalar]) -> Scalar:
+def scalar(x: int | Fraction | str | Scalar) -> Scalar:
     """Coerce ints, Fractions and text forms to Scalar."""
     if isinstance(x, Scalar):
         return x
@@ -292,7 +295,7 @@ class Poly:
         self.terms = t
 
     @classmethod
-    def const(cls, c: Union[int, Fraction, str, Scalar]) -> "Poly":
+    def const(cls, c: int | Fraction | str | Scalar) -> "Poly":
         return cls({_EMPTY_MON: scalar(c)})
 
     @classmethod
@@ -439,3 +442,55 @@ def _poly(terms: dict) -> Poly:
 
 POLY_ZERO = Poly.zero()
 POLY_ONE = Poly.const(1)
+
+
+class _RecordType(type):  # unlike namedtuple's, it compiles no generated source
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))  # the names only, never evaluated
+        defaults = {k: ns.pop(k) for k in fields if k in ns}
+        ns.update((k, property(itemgetter(i), doc=f"Field {i}")) for i, k in enumerate(fields))
+        ns.setdefault("__slots__", ())
+        if fields:
+            ns["_fields"], ns["_field_defaults"] = fields, defaults
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(tuple, metaclass=_RecordType):
+    """Fields are a subclass's annotated names, in order, with their defaults.
+    Equality and hash are the field tuple's; instances have no `__dict__`."""
+
+    _fields, _field_defaults = (), {}
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            named = {**cls._field_defaults, **kwargs}
+            try:
+                args += tuple(map(named.pop, fields[len(args):]))
+            except KeyError as exc:
+                raise TypeError(f"{cls.__name__}() missing argument {exc.args[0]!r}") from None
+            if len(args) > len(fields) or not named.keys().isdisjoint(kwargs):
+                raise TypeError(f"{cls.__name__}() got too many, unknown or repeated arguments")
+        return tuple.__new__(cls, args)
+
+    @classmethod
+    def _make(cls, iterable):
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"expected {len(cls._fields)} values, got {len(values)}")
+        return cls(*values)  # through a subclass's own checked `__new__`
+
+    def _replace(self, **kwargs):
+        result = self._make(map(kwargs.pop, self._fields, self))
+        if kwargs:
+            raise ValueError(f"got unexpected field names: {list(kwargs)!r}")
+        return result
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):  # pickling and copying rebuild through `__new__`
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"

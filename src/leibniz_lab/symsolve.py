@@ -8,8 +8,8 @@ its null space used by the sampling-based checks.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from math import lcm
-from typing import Iterable, Sequence
 
 from .linalg import RrefAccumulator
 from .scalars import ONE, Poly, Scalar

@@ -9,11 +9,10 @@ row/column indexing of action matrices follows this order.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import POLY, SCALAR, StructureTable
 from .linalg import Matrix, RrefAccumulator
-from .scalars import NEG_ONE, ONE, POLY_ZERO, ZERO
+from .scalars import NEG_ONE, ONE, POLY_ZERO, ZERO, Record
 
 
 def pairs(n: int) -> tuple:
@@ -68,7 +67,7 @@ def triangular(n: int):
     return StructureTable(len(ps), labels, dict(sorted(entries.items())), ring=SCALAR)
 
 
-class StructureMatrices(NamedTuple):
+class StructureMatrices(Record):
     """Right/left action matrices of one extension generator on the N basis."""
 
     n: int
@@ -118,7 +117,7 @@ def allowed_offdiagonal(n: int) -> frozenset:
     return frozenset(allowed)
 
 
-class ShapeReport(NamedTuple):
+class ShapeReport(Record):
     """Verdicts on the right-action matrix of one generator."""
 
     upper_triangular: bool

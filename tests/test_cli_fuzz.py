@@ -87,7 +87,11 @@ BREAKS = ([_drop(field) for field in ("dim", "labels", "brackets")]
                                       _term("1", basis=["a"]))]
           + [_add_record(_term(c)) for c in BAD_COEFS])
 
-NOT_A_DOCUMENT = ("", "{", "[1, 2]", "3", "null", '"doc"', "NaN", "{} {}", "٣")
+# nested deeper than the JSON reader recurses
+TOO_DEEP = ("[" * 100000 + "]" * 100000,
+            '{"dim": 1, "labels": ["a"], "brackets": [{"left": "a", "right": "a", "value": '
+            + "[" * 5000 + "]" * 5000 + "}]}")
+NOT_A_DOCUMENT = ("", "{", "[1, 2]", "3", "null", '"doc"', "NaN", "{} {}", "٣", TOO_DEEP[0])
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(LABELS + GOOD_COEFS),
@@ -129,6 +133,14 @@ def test_every_break_exits_2(workdir, command):
         text = json.dumps(brk({"dim": 1, "labels": ["a"], "brackets": []}))
         path.write_text(text, encoding="utf-8")
         assert invoke(command + [str(path)]) == 2, text
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+def test_too_deeply_nested_files_exit_2(workdir, command):
+    path = workdir / "deep.json"
+    for text in TOO_DEEP:
+        path.write_text(text, encoding="utf-8")
+        assert invoke(command + [str(path)]) == 2
 
 
 # -- parameter files ---------------------------------------------------------
