@@ -410,10 +410,7 @@ def run(argv=None) -> Report:
     fmt = args.fmt
     try:
         report = HANDLERS[args.command](args)
-    except CliError as exc:
-        report = Report(args.command, {"error": str(exc)}, [], 2)
-        print(f"error: {exc}", file=sys.stderr)
-    except ValueError as exc:
+    except ValueError as exc:  # CliError among them
         report = Report(args.command, {"error": str(exc)}, [], 2)
         print(f"error: {exc}", file=sys.stderr)
     _emit(report, fmt)

@@ -222,7 +222,7 @@ def restriction_factors(n: int, f: int) -> tuple:
         for i in range(1, n):
             row = (i, i + 1)
             form = Poly.var(b_name(n, al, row, corner))
-            if 1 < i < n - 1:
+            if (row, corner) in allowed_offdiagonal(n):
                 form = Poly.var(a_name(n, al, row, corner)) + form
             out.append((Poly.var(a_name(n, al, row, row)), form))
     return tuple(out)
@@ -440,9 +440,12 @@ def _sample_stated_variety(factor_pairs: Sequence[tuple], stated: Sequence[Poly]
 def reduced_extension(n: int, f: int) -> StructureTable:
     """The extension family after the forced linear relations are applied.
 
-    Remaining indeterminates per generator: the n-1 superdiagonal entries of
-    the right action, the admissible off-diagonal entries, the free corner
-    coefficients of the left action on superdiagonal rows, and one corner
+    Each right row is the shape's: the diagonal of `_pattern_entry` and the
+    row's one slot of `allowed_offdiagonal`.  Each left row is minus the
+    right one, except that a superdiagonal row's corner component is its own
+    coefficient b_(i,i+1)_1n.  Remaining indeterminates per generator: the
+    n-1 superdiagonal entries of the right action, the admissible
+    off-diagonal entries, those corner coefficients, and one corner
     coefficient per ordered generator pair.
     """
     _check_rank(n, f)
@@ -451,39 +454,26 @@ def reduced_extension(n: int, f: int) -> StructureTable:
     d = len(plist)
     dim = d + f
     corner = pair_index(n, 1, n)
+    slots = dict(allowed_offdiagonal(n))  # one admissible slot per row
     labels = list(base.labels) + [generator_label(f, al) for al in range(1, f + 1)]
     entries: dict = {}
     for key, row in base.c.items():
         entries[key] = {k: Poly.const(v) for k, v in row.items()}
-
-    def var(name):
-        return Poly.var(name)
-
     for al in range(1, f + 1):
         g = d + al - 1
         for r, (i, j) in enumerate(plist):
-            diag = Poly.zero()
-            for p in range(i, j):
-                diag = diag + var(a_name(n, al, (p, p + 1), (p, p + 1)))
-            right = {r: diag}
-            left = {r: -diag}
+            right = {r: _pattern_entry(n, al, (i, j), (i, j))}
+            if (i, j) in slots:
+                right[pair_index(n, *slots[i, j])] = Poly.var(
+                    a_name(n, al, (i, j), slots[i, j]))
+            left = {k: -v for k, v in right.items()}
             if j == i + 1:
-                if i == 1:
-                    off = var(a_name(n, al, (1, 2), (2, n)))
-                    right[pair_index(n, 2, n)] = off
-                    left[pair_index(n, 2, n)] = -off
-                elif i == n - 1:
-                    off = var(a_name(n, al, (n - 1, n), (1, n - 1)))
-                    right[pair_index(n, 1, n - 1)] = off
-                    left[pair_index(n, 1, n - 1)] = -off
-                else:
-                    right[corner] = var(a_name(n, al, (i, i + 1), (1, n)))
-                left[corner] = var(b_name(n, al, (i, i + 1), (1, n)))
+                left[corner] = Poly.var(b_name(n, al, (i, j), (1, n)))
             entries[(r, g)] = right
             entries[(g, r)] = left
         for be in range(1, f + 1):
             h = d + be - 1
-            entries[(g, h)] = {corner: var(sigma_param(al, be))}
+            entries[(g, h)] = {corner: Poly.var(sigma_param(al, be))}
     return StructureTable(dim, labels, entries, ring=POLY)
 
 
@@ -495,20 +485,13 @@ def diagonal_names(n: int, f: int, alpha: int) -> tuple:
 def master_param_names(n: int, f: int) -> tuple:
     """Every indeterminate of the reduced family, in a stable order."""
     _check_rank(n, f)
+    slots = sorted(allowed_offdiagonal(n))
     names = []
     for al in range(1, f + 1):
         names.extend(diagonal_names(n, f, al))
-        names.append(a_name(n, al, (1, 2), (2, n)))
-        for i in range(2, n - 1):
-            names.append(a_name(n, al, (i, i + 1), (1, n)))
-        names.append(a_name(n, al, (n - 1, n), (1, n - 1)))
-        names.append(b_name(n, al, (1, 2), (1, n)))
-        for i in range(2, n - 1):
-            names.append(b_name(n, al, (i, i + 1), (1, n)))
-        names.append(b_name(n, al, (n - 1, n), (1, n)))
-    for al in range(1, f + 1):
-        for be in range(1, f + 1):
-            names.append(sigma_param(al, be))
+        names.extend(a_name(n, al, row, col) for row, col in slots)
+        names.extend(b_name(n, al, (i, i + 1), (1, n)) for i in range(1, n))
+    names.extend(sigma_param(al, be) for al in range(1, f + 1) for be in range(1, f + 1))
     return tuple(names)
 
 
@@ -717,25 +700,34 @@ def _tracefree_diagonal(n: int, rng: random.Random) -> list:
 
 def _draw_diagonals(n: int, f: int, rng: random.Random,
                     tracefree: bool) -> list:
-    for _ in range(64):
-        vecs = []
-        for _ in range(f):
-            if tracefree:
-                vecs.append(_tracefree_diagonal(n, rng))
-            else:
-                vecs.append([random_scalar(rng) for _ in range(n - 1)])
+    """Random diagonals of f generators, redrawn until they have rank f.
+
+    Every caller's guards make rank f attainable: f <= n - 1 always, and
+    f <= n - 2 for zero-trace diagonals.  A random draw then has rank f
+    almost always, so the loop ends.
+    """
+    while True:
+        vecs = [_tracefree_diagonal(n, rng) if tracefree
+                else [random_scalar(rng) for _ in range(n - 1)] for _ in range(f)]
         if nil_independent_count(vecs) == f:
             return vecs
-    vecs = []
-    for al in range(f):
-        row = [ZERO] * (n - 1)
-        if tracefree:
-            row[al] = ONE
-            row[al + 1] = -ONE
-        else:
-            row[al] = ONE
-        vecs.append(row)
-    return vecs
+
+
+def _draw_member(n: int, f: int, vecs: Sequence[Sequence[Scalar]],
+                 rng: random.Random, nonlie: bool) -> dict:
+    """`_solve_with_diagonal` at vecs; with nonlie, a skew point is tilted
+    off the skew locus by adding 1 to s11."""
+    params = _solve_with_diagonal(n, f, vecs, rng)
+    if nonlie and is_skew_point(n, f, params):
+        key = sigma_param(1, 1)
+        params[key] = params.get(key, ZERO) + ONE
+    return params
+
+
+def _spec(n: int, f: int, params: Mapping[str, Scalar]) -> ExtensionSpec:
+    """The member at params, its zero parameters dropped."""
+    return ExtensionSpec(n=n, f=f, params={k: v for k, v in params.items()
+                                           if not v.is_zero()})
 
 
 def is_skew_point(n: int, f: int, params: Mapping[str, Scalar]) -> bool:
@@ -761,18 +753,9 @@ def sample_extension_specs(n: int, f: int, count: int, seed: int = 0,
     rng = random.Random(seed)
     specs = []
     for k in range(count):
-        if branch == "mixed":
-            mode = "nonlie" if (k % 2 == 1 and f <= n - 2) else "generic"
-        else:
-            mode = branch
-        vecs = _draw_diagonals(n, f, rng, tracefree=(mode == "nonlie"))
-        params = _solve_with_diagonal(n, f, vecs, rng)
-        if mode == "nonlie" and is_skew_point(n, f, params):
-            key = sigma_param(1, 1)
-            params[key] = params.get(key, ZERO) + ONE
-        specs.append(ExtensionSpec(n=n, f=f,
-                                   params={k2: v for k2, v in params.items()
-                                           if not v.is_zero()}))
+        nonlie = branch == "nonlie" or (branch == "mixed" and k % 2 == 1 and f <= n - 2)
+        vecs = _draw_diagonals(n, f, rng, tracefree=nonlie)
+        specs.append(_spec(n, f, _draw_member(n, f, vecs, rng, nonlie)))
     return specs
 
 
@@ -781,10 +764,9 @@ def maximal_extension_spec(n: int, seed: int = 0) -> ExtensionSpec:
     if n < 4:
         raise ValueError("sampling requires n >= 4")
     f = n - 1
-    rng = random.Random(seed)
-    params = _solve_with_diagonal(n, f, Matrix.identity(f).rows, rng)
-    return ExtensionSpec(n=n, f=f, params={k: v for k, v in params.items()
-                                           if not v.is_zero()})
+    _check_rank(n, f)
+    return _spec(n, f, _draw_member(n, f, Matrix.identity(f).rows,
+                                    random.Random(seed), nonlie=False))
 
 
 class MaxExtensionCheck(Record):
@@ -810,15 +792,19 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
                                 corrupt: bool = False) -> MaxExtensionCheck:
     """Check that every extension with n - 1 generators is a Lie algebra.
 
-    The first generator is normalized so its first diagonal entry is 1 and
-    the rest vanish; the skew relations must then appear among the linear
-    consequences of the residues, and every sampled full-rank member must be
-    Lie.  With corrupt=True the normalization is replaced by a zero-trace
-    one, which breaks the rank hypothesis and surfaces non-skew members.
+    For the span half, the first generator is normalized so its first
+    diagonal entry is 1 and the rest vanish; the skew relations must then
+    appear among the linear consequences of the residues.  The samples are
+    drawn like `sample_extension_specs`' generic members, from the whole
+    full-rank family, and every one must be Lie.  With corrupt=True the
+    normalization and the sampled diagonals are zero-trace, which breaks the
+    rank hypothesis, and the samples are tilted off the skew locus, so
+    non-skew members surface.
     """
     if n < 4:
         raise ValueError("verification requires n >= 4")
     f = n - 1
+    _check_rank(n, f)
     first = diagonal_names(n, f, 1)
     if corrupt:
         lead = {first[0]: Poly.const(1), first[1]: Poly.const(-1)}
@@ -832,32 +818,18 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
     missing = tuple(w for w in skew_forms(n, f) if not span.contains(w))
 
     rng = random.Random(seed)
-    all_lie = True
     nonlie = 0
-    fixed_first = None if corrupt else [ONE] + [ZERO] * (n - 2)
     for _ in range(samples):
-        if corrupt:
-            vecs = [_tracefree_diagonal(n, rng) for _ in range(f)]
-        else:
-            while True:
-                vecs = [fixed_first] + [[random_scalar(rng) for _ in range(n - 1)]
-                                        for _ in range(f - 1)]
-                if nil_independent_count(vecs) == f:
-                    break
-        params = _solve_with_diagonal(n, f, vecs, rng)
-        if corrupt and is_skew_point(n, f, params):
-            key = sigma_param(1, 1)
-            params[key] = params.get(key, ZERO) + ONE
-        table = reduced_extension(n, f).to_scalar(params)
-        if is_lie(table):
-            continue
-        all_lie = False
-        nonlie += 1
+        # zero-trace diagonals of rank f = n - 1 do not exist, so no redraw
+        vecs = ([_tracefree_diagonal(n, rng) for _ in range(f)] if corrupt
+                else _draw_diagonals(n, f, rng, tracefree=False))
+        params = _draw_member(n, f, vecs, rng, nonlie=corrupt)
+        nonlie += not is_lie(reduced_extension(n, f).to_scalar(params))
 
     return MaxExtensionCheck(
         n=n, f=f, seed=seed, samples=samples, corrupt=corrupt,
         skew_relations_forced=not missing,
         missing_relations=missing,
-        all_samples_lie=all_lie,
+        all_samples_lie=not nonlie,
         nonlie_samples=nonlie,
     )

@@ -88,18 +88,18 @@ def kernel_sampler(acc: RrefAccumulator) -> tuple:
     return [c for c in range(acc.ambient) if c not in acc.pivots], den, rows
 
 
-def draw_kernel_point(sampler: tuple, rng: random.Random, tries: int = 8) -> tuple:
+def draw_kernel_point(sampler: tuple, rng: random.Random) -> tuple:
     """(xs, ys, L): a random null space element (xs + ys*i) / L of a
     `kernel_sampler`'s rows.
 
     One `randint(-5, 5)` per free column, in column order, is that
     coordinate, and each pivot coordinate is minus its row applied to them:
     the combination of `acc.kernel_basis()` with those coefficients.  A round
-    of all-zero draws is redrawn, up to `tries` rounds; after that the first
+    of all-zero draws is redrawn, up to 8 rounds; after that the first
     basis vector stands in.  A zero null space gives zeros without a draw.
     """
     free, den, rows = sampler
-    for _ in range(tries):
+    for _ in range(8):
         draws = [rng.randint(-5, 5) for _ in free]
         if any(draws):
             break

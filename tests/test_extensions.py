@@ -47,7 +47,29 @@ def test_master_param_names_frozen():
         "a1_12_24", "a1_23_14", "a1_34_13",
         "b1_12_14", "b1_23_14", "b1_34_14",
         "s11")
+    assert master_param_names(3, 1) == (
+        "a1_12_12", "a1_23_23", "a1_12_23", "a1_23_12", "b1_12_13", "b1_23_13", "s11")
+    assert master_param_names(5, 2) == (
+        "a1_12_12", "a1_23_23", "a1_34_34", "a1_45_45",
+        "a1_12_25", "a1_23_15", "a1_34_15", "a1_45_14",
+        "b1_12_15", "b1_23_15", "b1_34_15", "b1_45_15",
+        "a2_12_12", "a2_23_23", "a2_34_34", "a2_45_45",
+        "a2_12_25", "a2_23_15", "a2_34_15", "a2_45_14",
+        "b2_12_15", "b2_23_15", "b2_34_15", "b2_45_15",
+        "s11", "s12", "s21", "s22")
     assert diagonal_names(4, 2, 2) == ("a2_12_12", "a2_23_23", "a2_34_34")
+
+
+def test_full_rank_samplers_check_the_cap_first(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work done before the rank cap was checked")
+
+    monkeypatch.setattr(extensions, "diagonal_names", no_work)
+    monkeypatch.setattr(extensions, "_solve_with_diagonal", no_work)
+    with pytest.raises(ValueError, match="capped at n = 8"):
+        verify_max_extension_is_lie(9, samples=1)
+    with pytest.raises(ValueError, match="capped at n = 8"):
+        maximal_extension_spec(9)
 
 
 def test_rank_guards():
@@ -108,13 +130,25 @@ def test_reduced_extension_bracket_oracles():
     assert row(0, 1) == {"N13": "1"}
 
 
+def entry_text(table):
+    """Each entry with its components and their terms, in stored order."""
+    return [repr((key, [(k, str(c), list(c.terms)) for k, c in row.items()]))
+            for key, row in table.c.items()]
+
+
 def test_reduced_extension_is_the_generic_table_after_the_forced_relations():
-    for n, f in ((3, 1), (4, 1), (4, 2), (5, 1)):
+    """Equal as tables at n = 3, where the substituted table lists the
+    components of [N23, X] and [X, N23] in another order; equal in the order
+    of entries, components and terms from n = 4 on."""
+    for n, f in ((3, 1), (3, 2)) + tuple((n, f) for n in (4, 5, 6) for f in range(1, n)):
         sub = expected_substitution(n, f)
         for al in range(1, f + 1):
             for be in range(1, f + 1):
                 sub[s_name(n, al, be, (1, n))] = Poly.var(sigma_param(al, be))
-        assert generic_extension(n, f).substitute(sub) == reduced_extension(n, f), (n, f)
+        substituted = generic_extension(n, f).substitute(sub)
+        assert substituted == reduced_extension(n, f), (n, f)
+        if n >= 4:
+            assert entry_text(substituted) == entry_text(reduced_extension(n, f)), (n, f)
 
 
 # -- forced relations --------------------------------------------------------

@@ -3,7 +3,9 @@
 `perfbench/tracing.py` names methods and functions of the package directly.
 A rename there would make `perfbench/run.py --trace 1` fail, so this checks
 every name it uses against the package.  The checks of
-`perfbench/workloads.py` must also turn down a wrong result record.
+`perfbench/workloads.py` must also turn down a wrong result record, and
+pass every operation of each workload's tiny build, so that a change which
+breaks a field or verdict the benchmark reads fails here in seconds.
 """
 
 import importlib
@@ -67,3 +69,21 @@ def test_workload_checks_turn_down_a_wrong_record(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lab["cli"], "classify_L41", misfile)
     assert all(op.check(op.call()) is not None for op in ops)
+
+
+def test_every_tiny_operation_passes_its_check(tmp_path):
+    """Each workload built tiny and run once, as a benchmark round runs it:
+    every output passes its check, those of known faults included."""
+    workloads = load_perfbench("workloads")
+    lab = workloads.load_program()
+    caches = workloads.memo_caches(lab)
+    for name in workloads.WORKLOADS:
+        (tmp_path / name).mkdir()
+        for op in workloads.BUILDERS[name](lab, 5, tmp_path / name, tiny=True).ops:
+            if op.fresh:
+                for cache in caches:
+                    cache.cache_clear()
+            out = op.call()
+            if op.keep:
+                out = op.keep(out)
+            assert op.check(out) is None, (name, op.name)
