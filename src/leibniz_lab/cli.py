@@ -173,7 +173,11 @@ def _verify_lemma(args) -> Report:
         "quadratic_residuals": len(rep.quadratic_residuals),
         "sample_points": rep.sample_points,
         "sampling_ok": rep.sampling_ok,
+        "stated_restrictions_complete": rep.tracefree_covered,
+        "witness": rep.witness and {"draw": rep.witness[0], "extra": str(rep.witness[1]),
+                                    "point": {name: str(v) for name, v in rep.witness[2]}},
     }
+    # the lemma is the linear layer; a witness refutes only the stated products
     return Report("verify", verdicts, [], 0 if rep.ok else 1)
 
 

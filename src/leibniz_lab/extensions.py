@@ -6,8 +6,8 @@ triangular shape (upper triangular with matching diagonal sums plus the short
 list of admissible off-diagonal slots); the left action and the generator
 squares start fully generic.  The module derives the linear relations the
 bracket identity forces on the generic table, reduces the family to its
-surviving parameters with their quadratic restrictions, and samples exact
-concrete members for the statistical checks.
+surviving parameters with their quadratic restrictions (with an exact
+witness where those miss one), and samples exact concrete members.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .triangular import (allowed_offdiagonal, corner_index, generator_label,
                          nil_independent_count, pair_index, pairs, triangular)
 
 MAX_SYMBOLIC_N = 8
+WITNESS_DRAWS = 16  # points `derive_relations` draws, at most, for a witness
 
 
 def _token(n: int, i: int, j: int) -> str:
@@ -121,13 +122,10 @@ def _expected(n: int, f: int):
                 if cp == corner and not wide:
                     continue
                 pat = _pattern_entry(n, al, rp, cp)
+                pat = Poly.zero() if pat is None else pat
                 name = b_name(n, al, rp, cp)
-                if pat is None:
-                    forms.append(Poly.var(name))
-                    sub[name] = Poly.zero()
-                else:
-                    forms.append(Poly.var(name) + pat)
-                    sub[name] = -pat
+                forms.append(Poly.var(name) + pat)
+                sub[name] = -pat
         for be in range(1, f + 1):
             for cp in plist:
                 if cp == corner:
@@ -230,13 +228,8 @@ def restriction_factors(n: int, f: int) -> tuple:
 
 def _tracefree_substitution(n: int, f: int) -> dict:
     """Eliminate the last diagonal entry of every generator: zero total trace."""
-    sub = {}
-    for al in range(1, f + 1):
-        total = Poly.zero()
-        for p in range(1, n - 1):
-            total = total - Poly.var(a_name(n, al, (p, p + 1), (p, p + 1)))
-        sub[a_name(n, al, (n - 1, n), (n - 1, n))] = total
-    return sub
+    return {last: -sum(map(Poly.var, head), Poly.zero())
+            for *head, last in (diagonal_names(n, f, al) for al in range(1, f + 1))}
 
 
 class ResidueReport(Record):
@@ -259,6 +252,7 @@ class ResidueReport(Record):
     extra_quadratics: tuple
     sample_points: int
     sampling_ok: bool
+    witness: tuple | None
 
     @property
     def ok(self) -> bool:
@@ -272,17 +266,11 @@ def _coefficients(residues: list) -> list:
 
 
 def _dedupe_monic(polys: Iterable[Poly]) -> tuple:
-    seen = {}
-    for p in polys:
-        if p.is_zero():
-            continue
-        q = p.monic()
-        seen[q.sort_key()] = q
+    seen = {q.sort_key(): q for q in (p.monic() for p in polys if not p.is_zero())}
     return tuple(seen[k] for k in sorted(seen))
 
 
-def derive_relations(n: int, f: int, seed: int = 0,
-                     sample_points: int = 500) -> ResidueReport:
+def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
     """Derive the full relation set the bracket identity forces at rank (n, f).
 
     The linear layer is closed by alternating two sound moves: take every
@@ -291,15 +279,18 @@ def derive_relations(n: int, f: int, seed: int = 0,
     bracket is bilinear and substitution a ring map, so its residues are the
     substituted ones, found from a few small entries.  What
     survives substitution must be homogeneous quadratic; on the zero-trace
-    slice each leftover is tested for membership in the stated products' span.
-    Seeded points on the stated products' zero set then check the covered
-    leftovers; that is a consistency check of the points, not a proof.
+    slice each leftover is covered by the stated products' span or is extra.
+    An extra nonzero at a point of the stated products' zero set proves them
+    incomplete: on an `ok` report the generic table under
+    `expected_substitution` and the zero-trace substitution, at that point
+    and 0 elsewhere, is not Leibniz.  `_witness_search` looks for one, and
+    `witness` is None when there is no extra or no draw found one.
+    `sample_points` and `sampling_ok` (each point zeroed the covered
+    leftovers) are a consistency check of the points, not a proof.
     """
     if n > 6:
         raise ValueError("relation derivation is capped at n = 6")
     _check_rank(n, f)
-    if sample_points < 0:
-        raise ValueError(f"sample_points must be >= 0, got {sample_points}")
     gen = generic_extension(n, f)
     residues = leibniz_residues(gen)
 
@@ -326,8 +317,7 @@ def derive_relations(n: int, f: int, seed: int = 0,
     if matches and sub != expected_sub:
         current = _coefficients(leibniz_residues(gen.substitute(expected_sub)))
 
-    leftovers_low = []
-    quadratics = []
+    leftovers_low, quadratics = [], []
     for p in current:
         if p.is_zero():
             continue
@@ -349,18 +339,14 @@ def derive_relations(n: int, f: int, seed: int = 0,
     stated_span = RrefAccumulator()  # one column per monomial
     for q in stated_flat:
         stated_span.add(q.terms)
-    covered = []
-    extras = []
+    covered, extras = [], []
     for q in residual_flat:
         (covered if stated_span.contains(q.terms) else extras).append(q)
 
-    names: set = set()
-    for q in list(residual_flat) + stated_flat:
-        names |= q.indeterminates()
+    names = set().union(*(q.indeterminates() for q in (*residual_flat, *stated_flat)))
     factor_pairs = [(weight.substitute(flat), form) for weight, form in factors]
-    points, sampling_ok = _sample_stated_variety(
-        factor_pairs, stated_flat, covered, sorted(names), sample_points,
-        random.Random(seed))
+    points, sampling_ok, witness = _witness_search(
+        factor_pairs, stated_flat, covered, extras, sorted(names), random.Random(seed))
 
     return ResidueReport(
         n=n, f=f, seed=seed,
@@ -378,6 +364,7 @@ def derive_relations(n: int, f: int, seed: int = 0,
         extra_quadratics=tuple(extras),
         sample_points=points,
         sampling_ok=sampling_ok,
+        witness=witness,
     )
 
 
@@ -403,37 +390,41 @@ def _vanishes(terms: list, xs: Sequence[int], ys: Sequence[int], den: int) -> bo
     return not re and not im
 
 
-def _sample_stated_variety(factor_pairs: Sequence[tuple], stated: Sequence[Poly],
-                           covered: Sequence[Poly], variables: Sequence[str],
-                           count: int, rng: random.Random) -> tuple:
-    """(points drawn, whether every `covered` quadratic vanished at them).
+def _witness_search(factor_pairs: Sequence[tuple], stated: Sequence[Poly],
+                    covered: Sequence[Poly], extras: Sequence[Poly],
+                    variables: Sequence[str], rng: random.Random) -> tuple:
+    """(points drawn, whether each zeroed every `covered` quadratic, witness).
 
     Each point zeroes one randomly chosen factor of every pair, so it lies
-    on the zero set of the `stated` products; one that does not raises
-    RuntimeError.  A factor's variables are its product's, so all are in
-    `variables`.  The equations' RREF is built once per factor-choice
-    pattern and kept for this call only, as a `kernel_sampler`, and each
-    polynomial is tested for zero in ints.  No variables means no points.
+    on the zero set of the `stated` products, or RuntimeError.  The RREF is
+    built once per factor-choice pattern, as a `kernel_sampler`, and each
+    polynomial is tested for zero in ints.  The witness is (draw index from
+    0, the first extra nonzero there, the point as sorted (name, Scalar)
+    pairs); no extras means no draws, and none within WITNESS_DRAWS, None.
     """
-    if not variables:
-        return 0, True
+    if not extras:
+        return 0, True, None
     pos = {v: k for k, v in enumerate(variables)}
-    stated_terms = [_int_poly(q, pos) for q in stated]
-    covered_terms = [_int_poly(q, pos) for q in covered]
+    stated_terms, covered_terms, extra_terms = (
+        [_int_poly(q, pos) for q in qs] for qs in (stated, covered, extras))
     samplers: dict = {}
     ok = True
-    for _ in range(count):
+    for k in range(WITNESS_DRAWS):
         pattern = tuple(rng.choice((0, 1)) for _ in factor_pairs)
         sampler = samplers.get(pattern)
         if sampler is None:
-            chosen = [pair[k] for pair, k in zip(factor_pairs, pattern)]
+            chosen = [pair[c] for pair, c in zip(factor_pairs, pattern)]
             sampler = samplers[pattern] = kernel_sampler(equation_rref(chosen, variables))
         xs, ys, den = draw_kernel_point(sampler, rng)
         if not all(_vanishes(q, xs, ys, den) for q in stated_terms):
             raise RuntimeError("sample point escaped the restriction variety")
-        if ok and not all(_vanishes(q, xs, ys, den) for q in covered_terms):
-            ok = False
-    return count, ok
+        ok = ok and all(_vanishes(q, xs, ys, den) for q in covered_terms)
+        for q, terms in zip(extras, extra_terms):
+            if not _vanishes(terms, xs, ys, den):
+                point = tuple((v, Scalar.from_ints(x, y, den))
+                              for v, x, y in zip(variables, xs, ys))
+                return k + 1, ok, (k, q, point)
+    return WITNESS_DRAWS, ok, None
 
 
 @lru_cache(maxsize=None)

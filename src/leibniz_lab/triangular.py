@@ -107,6 +107,7 @@ def structure_matrices(ext, n: int, alpha: int) -> StructureMatrices:
     return StructureMatrices(n, Matrix(a_rows, ncols=d), Matrix(b_rows, ncols=d))
 
 
+@lru_cache(maxsize=None)
 def allowed_offdiagonal(n: int) -> frozenset:
     """Row/column pairs where a right-action matrix may be nonzero off the
     diagonal: ((1,2),(2,n)), ((i,i+1),(1,n)) for 2 <= i <= n-2, and

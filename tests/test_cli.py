@@ -7,6 +7,7 @@ import pytest
 from leibniz_lab import cli
 from leibniz_lab.algebra import StructureTable, load_table, save_table
 from leibniz_lab.cli import MAX_TRIANGULAR_N, main, read_params, run
+from leibniz_lab.extensions import derive_relations
 from leibniz_lab.scalars import Scalar
 from leibniz_lab.triangular import triangular
 
@@ -175,9 +176,23 @@ def test_structured_output_is_json(tmp_path, capsys):
 
 def test_verify_lemma(capsys):
     report = run(["verify", "--lemma", "3.1", "--n", "3"])
+    # the linear relations hold, so the witness against the stated
+    # products does not change the exit code
     assert report.exit_code == 0
     assert report.verdicts["linear_matches_expected"] is True
     assert report.verdicts["sampling_ok"] is True
+    assert report.verdicts["stated_restrictions_complete"] is False
+    witness = report.verdicts["witness"]
+    assert witness["draw"] == report.verdicts["sample_points"] - 1
+    _, extra, point = derive_relations(3, 1).witness
+    assert witness["extra"] == str(extra)
+    assert witness["point"] == {name: str(v) for name, v in point}
+    parsed = {name: Scalar.parse(text) for name, text in witness["point"].items()}
+    assert not extra.evaluate(parsed).is_zero()
+    closed = run(["verify", "--lemma", "3.1", "--n", "4"])
+    assert closed.exit_code == 0
+    assert closed.verdicts["stated_restrictions_complete"] is True
+    assert closed.verdicts["witness"] is None
 
 
 def test_verify_theorem():

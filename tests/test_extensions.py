@@ -8,9 +8,9 @@ import pytest
 
 from leibniz_lab import extensions
 from leibniz_lab.algebra import is_leibniz, is_lie, is_nilpotent, leibniz_residues
-from leibniz_lab.extensions import (ExtensionSpec, _int_poly, _reduced_coefficients,
-                                    _sample_stated_variety,
-                                    _tracefree_substitution, _vanishes, a_name, b_name,
+from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _int_poly,
+                                    _reduced_coefficients, _tracefree_substitution,
+                                    _vanishes, _witness_search, a_name, b_name,
                                     build_extension, derive_relations,
                                     diagonal_names, expected_relation_forms,
                                     expected_substitution, generic_extension,
@@ -174,7 +174,9 @@ def test_derive_relations_quadratic_layer():
     assert len(rep.quadratic_residuals) == 7
     assert rep.tracefree_covered
     assert rep.extra_quadratics == ()
-    assert rep.sample_points == 500
+    # with no extra there is nothing to witness, so nothing is drawn
+    assert rep.witness is None
+    assert rep.sample_points == 0 and rep.sampling_ok
 
     # the stated products do not exhaust the residuals at n = 3 or f = 2
     assert len(derive_relations(3, 1).extra_quadratics) == 2
@@ -183,7 +185,8 @@ def test_derive_relations_quadratic_layer():
 
 
 def test_the_sampler_can_fail():
-    """Points off the stated products' zero set raise; an extra is caught."""
+    """The witness search: points off the stated products' zero set raise,
+    an extra is caught, and extras that every point zeroes give no witness."""
     flat = _tracefree_substitution(4, 2)
     pairs = [(weight.substitute(flat), form) for weight, form in restriction_factors(4, 2)]
     stated = [weight * form for weight, form in pairs]
@@ -194,16 +197,18 @@ def test_the_sampler_can_fail():
         names |= q.indeterminates()
     variables = sorted(names)
 
-    def sample(stated, covered):
-        return _sample_stated_variety(pairs, stated, covered, variables, 100,
-                                      random.Random(1))
+    def search(stated, covered, extras):
+        return _witness_search(pairs, stated, covered, extras, variables, random.Random(1))
 
-    assert sample(stated, stated) == (100, True)
-    assert sample(stated, [extra]) == (100, False)
+    assert search(stated, stated, stated) == (WITNESS_DRAWS, True, None)
+    drawn, ok, witness = search(stated, [extra], [extra])
+    assert not ok and witness[:2] == (drawn - 1, extra)
+    point = dict(witness[2])
+    assert sorted(point) == variables and not extra.evaluate(point).is_zero()
+    assert all(q.evaluate(point).is_zero() for q in stated)
     with pytest.raises(RuntimeError, match="escaped the restriction variety"):
-        sample(stated + [extra], [])
-    assert _sample_stated_variety(pairs, stated, [extra], [], 100,
-                                  random.Random(1)) == (0, True)
+        search(stated + [extra], [], [extra])
+    assert search(stated, [extra], []) == (0, True, None)
 
 
 def scalar_kernel_vector(acc, rng, tries=8):
@@ -232,25 +237,29 @@ def scalar_kernel_vector(acc, rng, tries=8):
     return vec
 
 
-def scalar_sample_stated_variety(factor_pairs, stated, covered, variables, count, rng):
-    """The sampler before it drew and tested its points in ints, kept as its oracle."""
-    if not variables:
-        return 0, True
+def scalar_witness_search(factor_pairs, stated, covered, extras, variables, count, rng):
+    """The witness search as the sampler drew and tested its points before
+    it did so in ints, kept as its oracle."""
+    if not extras:
+        return 0, True, None
     systems = {}
     ok = True
-    for _ in range(count):
+    for k in range(count):
         pattern = tuple(rng.choice((0, 1)) for _ in factor_pairs)
         acc = systems.get(pattern)
         if acc is None:
-            chosen = [pair[k] for pair, k in zip(factor_pairs, pattern)
-                      if pair[k].indeterminates() <= set(variables)]
+            chosen = [pair[c] for pair, c in zip(factor_pairs, pattern)
+                      if pair[c].indeterminates() <= set(variables)]
             acc = systems[pattern] = equation_rref(chosen, variables)
         point = dict(zip(variables, scalar_kernel_vector(acc, rng)))
         if any(not q.evaluate(point).is_zero() for q in stated):
             raise RuntimeError("sample point escaped the restriction variety")
         if ok and any(not q.evaluate(point).is_zero() for q in covered):
             ok = False
-    return count, ok
+        for q in extras:
+            if not q.evaluate(point).is_zero():
+                return k + 1, ok, (k, q, tuple(sorted(point.items())))
+    return count, ok, None
 
 
 def random_poly(rng, names, terms=4, top=3):
@@ -293,44 +302,102 @@ def test_the_integer_zero_test_matches_scalar_evaluation():
 
 
 def sampler_cases():
-    """(factor pairs, stated, covered, variables): the (n, f) grid with its
-    extra quadratics, and one set of pairs with Gaussian, fractional forms."""
+    """(factor pairs, stated, covered, extras, variables): the (n, f) grid
+    with its extra quadratics, and one set of pairs with Gaussian,
+    fractional forms.  Each comes twice: once with extras that stop the
+    search early, once with extras that every point zeroes, so that it
+    draws to the cap."""
     for n, f in ((3, 1), (4, 1), (4, 2), (5, 2)):
         flat = _tracefree_substitution(n, f)
         pairs = [(w.substitute(flat), form) for w, form in restriction_factors(n, f)]
         stated = [w * form for w, form in pairs]
-        extras = list(derive_relations(n, f, sample_points=0).extra_quadratics)
+        extras = list(derive_relations(n, f).extra_quadratics)
         names = set()
         for q in stated + extras:
             names |= q.indeterminates()
-        yield pairs, stated, stated + extras, sorted(names)
+        for found in (extras, stated):
+            yield pairs, stated, stated + extras, found, sorted(names)
     x, y, z, w, u = (Poly.var(v) for v in "xyzwu")
     half, gauss = Poly.const(Scalar(Fraction(1, 2))), Poly.const(Scalar(Fraction(2, 3), 1))
     pairs = [(x, half * y - z), (y + gauss * w, u), (z, gauss * x + half * u)]
     stated = [a * b for a, b in pairs]
     covered = [stated[0] + gauss * stated[2], x * y, half * z * z]
-    yield pairs, stated, covered, ["u", "w", "x", "y", "z"]
+    for found in (covered, stated):
+        yield pairs, stated, covered, found, ["u", "w", "x", "y", "z"]
 
 
-def test_the_integer_sampler_matches_the_scalar_sampler():
-    for pairs, stated, covered, names in sampler_cases():
+def test_the_integer_sampler_matches_the_scalar_sampler(monkeypatch):
+    monkeypatch.setattr(extensions, "WITNESS_DRAWS", 60)  # as many draws as before
+    for pairs, stated, covered, extras, names in sampler_cases():
         for seed in (0, 1, 2):
             rng, ref = random.Random(seed), random.Random(seed)
-            got = _sample_stated_variety(pairs, stated, covered, names, 60, rng)
-            assert got == scalar_sample_stated_variety(pairs, stated, covered, names, 60, ref)
+            got = _witness_search(pairs, stated, covered, extras, names, rng)
+            assert got == scalar_witness_search(pairs, stated, covered, extras, names, 60, ref)
             assert rng.getstate() == ref.getstate()
+
+
+def witness_table(n, f, point):
+    """The generic (n, f) table under the forced linear relations and the
+    zero-trace substitution, at point, every other indeterminate 0."""
+    table = (generic_extension(n, f).substitute(expected_substitution(n, f))
+             .substitute(_tracefree_substitution(n, f)))
+    full = dict.fromkeys(set().union(*(p.indeterminates() for row in table.c.values()
+                                       for p in row.values())), ZERO)
+    full.update(point)
+    return table.to_scalar(full)
+
+
+def witness_problems(rep):
+    """Why a report's witness does not prove its stated restrictions
+    incomplete; empty when it does."""
+    k, extra, point = rep.witness
+    values = dict(point)
+    flat = _tracefree_substitution(rep.n, rep.f)
+    problems = []
+    if extra not in rep.extra_quadratics:
+        problems.append("not an extra of the report")
+    if not 0 <= k < rep.sample_points:
+        problems.append("draw index outside the points drawn")
+    if list(values) != sorted(values):
+        problems.append("point not sorted by name")
+    if any(not q.substitute(flat).evaluate(values).is_zero() for q in rep.stated_products):
+        problems.append("point leaves the stated products")
+    if extra.evaluate(values).is_zero():
+        problems.append("point zeroes its extra")
+    if is_leibniz(witness_table(rep.n, rep.f, values)):
+        problems.append("rebuilt table is Leibniz")
+    return problems
+
+
+def test_each_witness_proves_the_stated_restrictions_incomplete():
+    for seed in (1, 3):
+        for n, f in ((3, 1), (3, 2), (4, 2), (4, 3), (5, 2)):
+            rep = derive_relations(n, f, seed=seed)
+            assert rep.ok and rep.extra_quadratics, (n, f)
+            assert rep.sample_points <= WITNESS_DRAWS
+            assert rep.witness is not None and witness_problems(rep) == [], (n, f, seed)
+        for n, f in ((4, 1), (5, 1)):
+            assert derive_relations(n, f, seed=seed).witness is None, (n, f)
+
+    # doctored witnesses fail the check
+    rep = derive_relations(4, 2, seed=1)
+    k, extra, point = rep.witness
+    gone = extra.indeterminates()
+    for doctored, want in (
+            ((k, extra, tuple((v, ZERO) for v, _ in point)),
+             ["point zeroes its extra", "rebuilt table is Leibniz"]),
+            ((k, extra, tuple((v, ZERO if v in gone else x) for v, x in point)),
+             ["point zeroes its extra"]),
+            ((k, rep.stated_products[0].substitute(_tracefree_substitution(4, 2)), point),
+             ["not an extra of the report"]),
+            ((rep.sample_points, extra, point), ["draw index outside the points drawn"])):
+        problems = witness_problems(rep._replace(witness=doctored))
+        assert all(w in problems for w in want), (doctored, problems)
 
 
 def test_derive_relations_cap():
     with pytest.raises(ValueError, match="capped at n = 6"):
         derive_relations(7, 1)
-
-
-def test_derive_relations_rejects_a_negative_sample_count():
-    with pytest.raises(ValueError, match="sample_points must be >= 0"):
-        derive_relations(3, 1, sample_points=-3)
-    rep = derive_relations(3, 1, sample_points=0)
-    assert rep.sample_points == 0 and rep.sampling_ok
 
 
 def test_relations_are_not_vacuous():

@@ -10,8 +10,12 @@ samplers changes the text, and then the digest must be recomputed on the
 parent of that change.
 
 The second digest pins the `repr` of every `derive_relations` report on the
-`relations` benchmark grid for seeds 1 and 3, as computed before the
-sampler drew its points from one sparse RREF per factor-choice pattern.
+`relations` benchmark grid for seeds 1 and 3.  It was computed when the
+500-point sampler gave way to the capped witness search: `sample_points`
+became the number of points that search draws, and `witness` was added.
+Before that change the digest had been unchanged since the sampler drew
+its points from one sparse RREF per factor-choice pattern, and every
+field but those two reads as it did then.
 
 The third digest pins outputs of the sparse eliminator that neither of the
 others reaches, as computed before its back-substitution used a column
@@ -37,9 +41,12 @@ fraction-free integer rows and before `is_lie` tested Jacobiators.
 The sixth digest pins the structured stdout of the commands the fourth
 leaves out: `verify --lemma` at (3, 1) and (4, 2), `verify --eq 3` on the
 fourth digest's `extend` output, and `canonical` at one valid point of each
-form, with the file each writes.  It was computed before `derive_relations`
-split the residual quadratics on one span of the stated products, and
-before `extend` and `canonical` rejected nil-dependent and skew points.
+form, with the file each writes.  It was computed when `verify --lemma`
+gained the verdicts `stated_restrictions_complete` and `witness` and its
+`sample_points` became the witness search's draws; the rest of its bytes
+read as they did before `derive_relations` split the residual quadratics
+on one span of the stated products, and before `extend` and `canonical`
+rejected nil-dependent and skew points.
 """
 
 import hashlib
@@ -65,11 +72,11 @@ from leibniz_lab.scalars import ONE, ZERO, Scalar
 from leibniz_lab.triangular import triangular
 
 GOLDEN_SHA256 = "d2c49588cb6b61a667ac36b3bef86efd07cae6d8f684fb1ec8199cb99aa93108"
-RELATIONS_SHA256 = "950d029c01185f2f307130209d382979bbfd102fd05f6201acaca83590d7cbda"
+RELATIONS_SHA256 = "278d5e847c620d743bf8afbbbb09cd860ca2701a0865d298d81155c8704482cf"
 ELIMINATOR_SHA256 = "fb2060e233e75ab882d297036de9e1f31717edc928474000803e75b03bc08a13"
 CLI_SHA256 = "911ef958d35e4880f800a49090da3483f317ca3455a930d20455e9c04c6a85b5"
 VERDICTS_SHA256 = "5bba4c20de712bcd513518f35b9fd820387ad8a7f592e3cea259f1a89d64151b"
-COMMANDS_SHA256 = "82c79f3bfa051a27a49f8581c0c191dc88c0efb9f94d9b1076314ad87217b483"
+COMMANDS_SHA256 = "7de74ba16dbf49eff47d01dbcce5204546a536beb0b03a6d19855bc3e8c61fed"
 RELATION_GRID = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2))
 
 

@@ -42,12 +42,12 @@ RECORDS = {
                    "b_23_14", "a_34_13", "b_34_14", "s_14")),
     "CanonicalForm": (lambda: CanonicalForm("L1", {"b_12_14": ONE}), ("id", "params")),
     "Classification": (lambda: classify_L41(MEMBER), ("form", "witness", "case", "note")),
-    "ResidueReport": (lambda: derive_relations(3, 1, sample_points=20),
+    "ResidueReport": (lambda: derive_relations(3, 1),
                       ("n", "f", "seed", "residue_count", "rounds", "derived_linear",
                        "expected_linear", "linear_matches_expected",
                        "unexplained_linear", "missing_linear", "unexplained_residual",
                        "quadratic_residuals", "stated_products", "tracefree_covered",
-                       "extra_quadratics", "sample_points", "sampling_ok")),
+                       "extra_quadratics", "sample_points", "sampling_ok", "witness")),
     "ExtensionSpec": (lambda: ExtensionSpec(4, 1, SPEC), ("n", "f", "params")),
     "MaxExtensionCheck": (lambda: verify_max_extension_is_lie(4, samples=2),
                           ("n", "f", "seed", "samples", "corrupt",
@@ -89,7 +89,7 @@ def test_records_are_immutable_value_tuples(name):
 
 def test_records_built_apart_compare_by_value():
     assert L41Params(a_12_12=ONE) == L41Params(a_12_12=ONE) != L41Params(a_23_23=ONE)
-    assert derive_relations(3, 1, sample_points=20) == derive_relations(3, 1, sample_points=20)
+    assert derive_relations(3, 1) == derive_relations(3, 1)
     first, second = (verify_max_extension_is_lie(4, samples=2) for _ in range(2))
     assert first == second and hash(first) == hash(second)
 
@@ -170,6 +170,21 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                                  "json", "typing"}, flags
         assert not by_cli & {"dataclasses", "inspect", "fractions", "decimal", "numbers",
                              "typing"}, flags
+
+
+HEAVY_MODULES = ("fractions", "decimal", "numbers", "dataclasses", "inspect", "typing", "json")
+
+
+@pytest.mark.parametrize("package, allowed", [("leibniz_lab", ()),
+                                              ("leibniz_lab.cli", ("json",))])
+def test_an_isolated_import_leaves_the_heavy_modules_unloaded(package, allowed):
+    """Under -I -S no site hook runs, so whatever of these is loaded after
+    the import, the interpreter's own start-up included, costs set-up time."""
+    probe = (f"import sys; sys.path.insert(0, sys.argv[1]); import {package}; "
+             f"print(*[m for m in {HEAVY_MODULES!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == list(allowed)
 
 
 COMPILE_PROBE = """
