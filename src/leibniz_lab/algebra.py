@@ -207,7 +207,9 @@ def _poly_residues(a: StructureTable) -> list:
     """The scan on the (monomial, re, im) int cells of D times each entry,
     D the lcm of the denominators, so it finds D**2 times each residue.  Like
     Poly.__mul__ and Poly.__add__, a product and a sum delete a term where it
-    cancels: every coefficient keeps Poly arithmetic's term order."""
+    cancels: every coefficient keeps Poly arithmetic's term order.  A product
+    is added to its component cell by cell, in place; only a product of two
+    multi-term entries is summed on its own first, since its terms may meet."""
     d = a.dim
     den = lcm(*(c.d for row in a.c.values() for p in row.values() for c in p.terms.values()))
     grid = [[()] * d for _ in range(d)]
@@ -217,17 +219,7 @@ def _poly_residues(a: StructureTable) -> list:
     prods: dict = {}                # (monomial, monomial) -> their product
     cols = list(zip(*grid))
 
-    def times(u: tuple, v: tuple, sign: int):
-        """The cells of sign * u * v, pair by pair."""
-        for m1, p, q in u:
-            p, q = sign * p, sign * q
-            for m2, x, y in v:
-                m = prods.get((m1, m2))
-                if m is None:
-                    m = prods[m1, m2] = _mul_mon(m1, m2)
-                yield m, (p * x - q * y, p * y + q * x)
-
-    def into(t: dict, cells) -> dict:
+    def into(t: dict, cells) -> None:
         """t += the cells, a term deleted where it cancels."""
         for m, (x, y) in cells:
             cur = t.get(m)
@@ -238,7 +230,6 @@ def _poly_residues(a: StructureTable) -> list:
                     del t[m]
                     continue
             t[m] = x, y
-        return t
 
     den2 = den * den
     out = []
@@ -250,10 +241,24 @@ def _poly_residues(a: StructureTable) -> list:
         for sign, outer, rows in ((1, gjk, grid[i]), (-1, gij, cols[k]), (1, gik, cols[j])):
             for m, u in outer:
                 for r, v in rows[m]:
-                    cells = times(u, v, sign)
-                    if len(u) > 1 and len(v) > 1:       # the product's own terms may meet
-                        cells = into({}, cells).items()
-                    into(acc.setdefault(r, {}), cells)
+                    both = len(u) > 1 and len(v) > 1    # the product's own terms may meet
+                    t = {} if both else acc.setdefault(r, {})
+                    for m1, p, q in u:          # t += sign * u * v, cell by cell, as `into` adds
+                        p, q = sign * p, sign * q
+                        for m2, x, y in v:
+                            mon = prods.get((m1, m2))
+                            if mon is None:
+                                mon = prods[m1, m2] = _mul_mon(m1, m2)
+                            x, y = p * x - q * y, p * y + q * x
+                            cur = t.get(mon)
+                            if cur is not None:
+                                x, y = x + cur[0], y + cur[1]
+                            if x or y:
+                                t[mon] = x, y
+                            else:
+                                del t[mon]
+                    if both:
+                        into(acc.setdefault(r, {}), t.items())
         nz = {r: _poly({m: Scalar.from_ints(x, y, den2) for m, (x, y) in t.items()})
               for r, t in acc.items() if t}
         if nz:

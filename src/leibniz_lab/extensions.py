@@ -154,25 +154,45 @@ def _var_rank(name: str) -> int:
 
 
 def _mon_priority(mon):
-    deg = sum(e for _, e in mon)
-    if deg >= 2:
-        return (0, mon)
-    return (1, _var_rank(mon[0][0]), mon)
+    if len(mon) == 1 and mon[0][1] == 1:
+        return (1, _var_rank(mon[0][0]), mon)
+    return (0, mon)
 
 
 def linear_forms_in_span(polys: Iterable[Poly]) -> list:
     """Degree <= 1 elements of the scalar span of the given polynomials.
 
     The eliminator's columns are keyed by `_mon_priority`, which puts the
-    degree-2 monomials first, so a row with a degree-1 pivot carries no
-    degree-2 monomial at all.  Those rows, fully reduced, span every linear
-    form in the span of the inputs.
+    monomials of degree >= 2 first, so the rows with a degree-1 pivot, fully
+    reduced, span every linear form in the span of the inputs.  A row is
+    dropped first while it alone holds such a monomial: in a combination with
+    no part of degree >= 2 that monomial's coefficient is the row's own times
+    a nonzero, so the row's is 0, in every prefix of the rows too.  The
+    degree-1 pivots thus come from the same rows in the same order: the same
+    forms, each a row of the unique RREF; only a form's term order can differ.
     """
-    acc = RrefAccumulator()
+    rows, holders = [], {}          # holders: monomial of degree >= 2 -> rows
     for p in polys:
         if not p.constant_term().is_zero():
             raise ValueError("unexpected constant term in a residue polynomial")
-        acc.add({_mon_priority(mon): c for mon, c in p.terms.items()})
+        for mon in p.terms:
+            if len(mon) > 1 or mon[0][1] > 1:
+                holders.setdefault(mon, []).append(len(rows))
+        rows.append(p.terms)
+    lone = [mon for mon, held in holders.items() if len(held) == 1]
+    while lone:
+        held = holders[lone.pop()]
+        if held:                    # its one holder, unless already dropped
+            r = held[0]
+            for mon in rows[r]:
+                if mon in holders:
+                    holders[mon].remove(r)
+                    if len(holders[mon]) == 1:
+                        lone.append(mon)
+            rows[r] = None
+    acc = RrefAccumulator()
+    for terms in filter(None, rows):    # a dropped row is None
+        acc.add({_mon_priority(mon): c for mon, c in terms.items()})
     out = []
     for lead, row in acc.pivots.items():
         if lead[0] == 1:

@@ -50,7 +50,7 @@ class Scalar:
     @staticmethod
     def from_ints(x: int, y: int, d: int) -> "Scalar":
         """(x + y*i)/d for ints with d > 0, brought to normal form."""
-        return _reduced(x, y, d)
+        return _new(x, y, 1) if d == 1 else _reduced(x, y, d)
 
     @property
     def re(self) -> Fraction:
@@ -398,8 +398,8 @@ class Poly:
         """Scale so the graded-lex leading coefficient is 1."""
         if not self.terms:
             return self
-        lead = min(self.terms, key=lambda m: (-_mon_degree(m), m))
-        return self.scale(self.terms[lead].inverse())
+        lead = self.terms[min(self.terms, key=lambda m: (-_mon_degree(m), m))]
+        return self if lead == ONE else self.scale(lead.inverse())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms

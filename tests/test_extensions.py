@@ -5,11 +5,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibniz_lab import extensions
 from leibniz_lab.algebra import is_leibniz, is_lie, is_nilpotent, leibniz_residues
 from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _int_poly,
-                                    _reduced_coefficients, _tracefree_substitution,
+                                    _mon_priority, _reduced_coefficients, _tracefree_substitution,
                                     _vanishes, _witness_search, a_name, b_name,
                                     build_extension, derive_relations,
                                     diagonal_names, expected_relation_forms,
@@ -20,6 +21,7 @@ from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _int_poly,
                                     solve_linear_forms, stated_restrictions,
                                     verify_corner_annihilation,
                                     verify_max_extension_is_lie)
+from leibniz_lab.linalg import RrefAccumulator
 from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
 from leibniz_lab.symsolve import LinearSpan, equation_rref, random_scalar
 from leibniz_lab.triangular import (diagonal_vector, nil_independent_count,
@@ -421,6 +423,120 @@ def test_linear_forms_in_span_extraction():
     assert forms
     assert LinearSpan(forms) == LinearSpan([z - w])
     assert linear_forms_in_span([x * y]) == []
+
+
+# -- dropping rows that cannot cancel their degree-2 part ---------------------
+
+def all_rows_linear_forms(polys):
+    """`linear_forms_in_span` as it was before it dropped rows: one
+    eliminator over every row, with `_mon_priority` columns."""
+    acc = RrefAccumulator()
+    for p in polys:
+        if not p.constant_term().is_zero():
+            raise ValueError("unexpected constant term in a residue polynomial")
+        acc.add({_mon_priority(mon): c for mon, c in p.terms.items()})
+    out = []
+    for lead, row in acc.pivots.items():
+        if lead[0] == 1:
+            terms = {key[-1]: c for key, c in row.items()}
+            terms[lead[-1]] = ONE
+            out.append(Poly(terms))
+    return out
+
+
+def counted_adds(monkeypatch):
+    """A list that gains one entry per `RrefAccumulator.add` call."""
+    calls = []
+    add = RrefAccumulator.add
+
+    def counting(self, vec):
+        calls.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(RrefAccumulator, "add", counting)
+    return calls
+
+
+SPAN_NAMES = ("a1", "a2", "b1", "b2", "s1")   # every `_var_rank` class
+span_coefficients = st.builds(
+    Scalar, st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3))),
+    st.sampled_from((0, 0, 1, Fraction(-1, 3))))
+
+
+def span_monomials(degree):
+    return st.lists(st.sampled_from(SPAN_NAMES), min_size=degree, max_size=degree).map(
+        lambda names: tuple(sorted((v, names.count(v)) for v in set(names))))
+
+
+def span_polys(*degrees):
+    return st.dictionaries(st.one_of(*map(span_monomials, degrees)), span_coefficients,
+                           min_size=1, max_size=4).map(Poly)
+
+
+@st.composite
+def span_rows(draw):
+    """Homogeneous linear and quadratic rows and mixed ones, with some pairs
+    planted whose quadratic parts cancel (q + l and c*q + l')."""
+    rows = draw(st.lists(st.one_of(span_polys(1), span_polys(2), span_polys(1, 2)),
+                         max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(span_polys(2))
+        for c in (ONE, draw(span_coefficients)):
+            rows.insert(draw(st.integers(0, len(rows))), q.scale(c) + draw(span_polys(1)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_rows())
+def test_dropping_rows_keeps_the_linear_forms(rows):
+    # the same forms in the same order, each with the same coefficients
+    assert linear_forms_in_span(rows) == all_rows_linear_forms(rows)
+
+
+def _hand_rows():
+    a1, a2, b1, b2, s1 = (Poly.var(v) for v in SPAN_NAMES)
+    return {
+        # a1*a2 is held by A alone; once A is dropped, a1*b1 is held by B
+        # alone, and then a2*a2 by C alone; only D and E reach the eliminator
+        "cascade": ([a1 * a2 + a1 * b1 + b1, a1 * b1 + a2 * a2 + b2, a2 * a2 + a1,
+                     s1 * s1 + a1, s1 * s1 + a2], 2),
+        # s1*b1 is held by exactly two rows, whose difference is linear
+        "two holders cancel": ([s1 * b1 + a1, s1 * b1 + b2], 2),
+        # a monomial of degree 3 is not linear: a1^2*a2 has two holders,
+        # a1*a2*s1 one
+        "degree 3": ([a1 * a1 * a2 + b1, a1 * a2 * s1 + a1, a1 * a1 * a2 + b2], 2),
+        # A is dropped; in the oracle it takes part in reducing C, whose form
+        # then lists a1 and a2 the other way round, with the same coefficients
+        "term order": ([a1 * a2 + s1 * s1 + a2, a1 * a2 + a1 + a2, a1 * a2 + b1], 2),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_hand_rows()))
+def test_dropping_rows_on_hand_cases(monkeypatch, case):
+    rows, kept = _hand_rows()[case]
+    want = all_rows_linear_forms(rows)
+    adds = counted_adds(monkeypatch)
+    assert linear_forms_in_span(rows) == want != []
+    assert len(adds) == kept
+
+
+def test_a_constant_term_raises_even_in_a_row_that_would_be_dropped():
+    x, y, z = (Poly.var(v) for v in "xyz")
+    with pytest.raises(ValueError, match="constant term"):
+        linear_forms_in_span([x * y + z, x * z + Poly.const(1)])
+
+
+def test_the_first_elimination_skips_most_quadratic_rows(monkeypatch):
+    """On the (5, 2) residues, 1,320 coefficients are linear and 36 of the
+    876 others can cancel their degree-2 part; without the drop, all 2,196
+    reach the eliminator."""
+    coefficients = [c for _, comps in leibniz_residues(generic_extension(5, 2))
+                    for c in comps.values()]
+    assert len(coefficients) == 2196
+    want = all_rows_linear_forms(coefficients)
+    adds = counted_adds(monkeypatch)
+    assert linear_forms_in_span(coefficients) == want
+    assert len(adds) <= 1400
 
 
 def test_solve_linear_forms():

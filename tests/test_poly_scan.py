@@ -103,7 +103,9 @@ coefficients = st.builds(
     st.sampled_from((0, 0, 1, Fraction(-1, 2), Fraction(1, 3))))
 monomials = st.lists(st.sampled_from(NAMES), max_size=2).map(
     lambda names: tuple(sorted((v, names.count(v)) for v in set(names))))
-polys = st.dictionaries(monomials, coefficients, max_size=3).map(Poly)
+# most entries of the symbolic tables have one term, so draw many of them
+polys = st.one_of(st.dictionaries(monomials, coefficients, min_size=1, max_size=1),
+                  st.dictionaries(monomials, coefficients, max_size=3)).map(Poly)
 
 
 @st.composite

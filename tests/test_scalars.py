@@ -170,6 +170,7 @@ def test_text_round_trip_of_any_scalar(p):
 
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
        st.integers(1, 10 ** 6))
+@example(6, -4, 1)                  # d == 1 is normal whatever x and y share
 def test_from_ints_normalizes(x, y, d):
     assert_normal(Scalar.from_ints(x, y, d), (Fraction(x, d), Fraction(y, d)))
 
@@ -405,6 +406,8 @@ def test_monic_normalizes_leading_coefficient():
     lead = max(m.terms, key=lambda mon: (sum(e for _, e in mon), mon))
     assert m.terms[lead] == ONE
     assert p.monic() == p.scale(Scalar(frac(1, 3)))
+    assert m.monic() is m       # already monic: returned as it is
+    assert Poly.zero().monic().is_zero()
 
 
 @given(st.lists(st.tuples(st.sampled_from("xyz"), small_fractions), max_size=5),
