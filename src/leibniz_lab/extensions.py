@@ -15,13 +15,11 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
-from math import lcm
 
 from .algebra import POLY, StructureTable, is_lie, leibniz_residues
 from .linalg import Matrix, RrefAccumulator
 from .scalars import ONE, ZERO, Poly, Record, Scalar
-from .symsolve import (LinearSpan, draw_kernel_point, equation_rref,
-                       kernel_sampler, random_kernel_vector, random_scalar)
+from .symsolve import LinearSpan, equation_rref, random_kernel_vector, random_scalar
 from .triangular import (allowed_offdiagonal, corner_index, generator_label,
                          nil_independent_count, pair_index, pairs, triangular)
 
@@ -363,10 +361,12 @@ def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
     for q in residual_flat:
         (covered if stated_span.contains(q.terms) else extras).append(q)
 
-    names = set().union(*(q.indeterminates() for q in (*residual_flat, *stated_flat)))
-    factor_pairs = [(weight.substitute(flat), form) for weight, form in factors]
-    points, sampling_ok, witness = _witness_search(
-        factor_pairs, stated_flat, covered, extras, sorted(names), random.Random(seed))
+    points, sampling_ok, witness = 0, True, None
+    if extras:
+        names = set().union(*(q.indeterminates() for q in (*residual_flat, *stated_flat)))
+        factor_pairs = [(weight.substitute(flat), form) for weight, form in factors]
+        points, sampling_ok, witness = _witness_search(
+            factor_pairs, stated_flat, covered, extras, sorted(names), random.Random(seed))
 
     return ResidueReport(
         n=n, f=f, seed=seed,
@@ -388,62 +388,30 @@ def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
     )
 
 
-def _int_poly(p: Poly, pos: Mapping[str, int]) -> list:
-    """p times the lcm of its denominators, one (x, y, gap, positions) per term:
-    its coefficient x + y*i, p's degree minus its own, and its variables'
-    positions, one per unit of degree."""
-    den, top = lcm(*(c.d for c in p.terms.values())), p.degree()
-    return [(c.x * (den // c.d), c.y * (den // c.d), top - sum(e for _, e in mon),
-             tuple(pos[name] for name, e in mon for _ in range(e)))
-            for mon, c in p.terms.items()]
-
-
-def _vanishes(terms: list, xs: Sequence[int], ys: Sequence[int], den: int) -> bool:
-    """Whether an `_int_poly` is zero at (xs + ys*i) / den: the int sum of
-    den**degree times its value, so each term is scaled by den**gap."""
-    re = im = 0
-    for a, b, gap, positions in terms:
-        a, b = a * den ** gap, b * den ** gap
-        for k in positions:
-            a, b = a * xs[k] - b * ys[k], a * ys[k] + b * xs[k]
-        re, im = re + a, im + b
-    return not re and not im
-
-
 def _witness_search(factor_pairs: Sequence[tuple], stated: Sequence[Poly],
                     covered: Sequence[Poly], extras: Sequence[Poly],
                     variables: Sequence[str], rng: random.Random) -> tuple:
     """(points drawn, whether each zeroed every `covered` quadratic, witness).
 
-    Each point zeroes one randomly chosen factor of every pair, so it lies
-    on the zero set of the `stated` products, or RuntimeError.  The RREF is
-    built once per factor-choice pattern, as a `kernel_sampler`, and each
-    polynomial is tested for zero in ints.  The witness is (draw index from
-    0, the first extra nonzero there, the point as sorted (name, Scalar)
-    pairs); no extras means no draws, and none within WITNESS_DRAWS, None.
+    Each point is a `random_kernel_vector` of the linear equations given by
+    one randomly chosen factor of every pair, so it lies on the zero set of
+    the `stated` products, or RuntimeError.  The witness is (draw index from
+    0, the first extra nonzero there, the point as (name, Scalar) pairs in
+    `variables` order); no extras means no draws, and none within
+    WITNESS_DRAWS, None.
     """
     if not extras:
         return 0, True, None
-    pos = {v: k for k, v in enumerate(variables)}
-    stated_terms, covered_terms, extra_terms = (
-        [_int_poly(q, pos) for q in qs] for qs in (stated, covered, extras))
-    samplers: dict = {}
     ok = True
     for k in range(WITNESS_DRAWS):
-        pattern = tuple(rng.choice((0, 1)) for _ in factor_pairs)
-        sampler = samplers.get(pattern)
-        if sampler is None:
-            chosen = [pair[c] for pair, c in zip(factor_pairs, pattern)]
-            sampler = samplers[pattern] = kernel_sampler(equation_rref(chosen, variables))
-        xs, ys, den = draw_kernel_point(sampler, rng)
-        if not all(_vanishes(q, xs, ys, den) for q in stated_terms):
+        acc = equation_rref([pair[rng.choice((0, 1))] for pair in factor_pairs], variables)
+        point = dict(zip(variables, random_kernel_vector(acc, rng)))
+        if not all(q.evaluate(point).is_zero() for q in stated):
             raise RuntimeError("sample point escaped the restriction variety")
-        ok = ok and all(_vanishes(q, xs, ys, den) for q in covered_terms)
-        for q, terms in zip(extras, extra_terms):
-            if not _vanishes(terms, xs, ys, den):
-                point = tuple((v, Scalar.from_ints(x, y, den))
-                              for v, x, y in zip(variables, xs, ys))
-                return k + 1, ok, (k, q, point)
+        ok = ok and all(q.evaluate(point).is_zero() for q in covered)
+        for q in extras:
+            if not q.evaluate(point).is_zero():
+                return k + 1, ok, (k, q, tuple(point.items()))
     return WITNESS_DRAWS, ok, None
 
 

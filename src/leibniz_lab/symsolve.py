@@ -1,8 +1,8 @@
 """Linear algebra over named indeterminates and seeded rational sampling.
 
 Bridges Poly values and the exact eliminator: spans of linear forms, the
-RREF of homogeneous linear equations, and deterministic random points of
-its null space used by the sampling-based checks.
+RREF of homogeneous linear equations, and seeded random points of its null
+space, which the witness search and the member sampler draw.
 """
 
 from __future__ import annotations
@@ -78,27 +78,20 @@ def equation_rref(polys: Iterable[Poly], variables: Sequence[str]) -> RrefAccumu
     return acc
 
 
-def kernel_sampler(acc: RrefAccumulator) -> tuple:
-    """(free columns, L, rows) for `draw_kernel_point`: acc's rows as
-    (pivot, [(column, x, y)]), x + y*i being L times the entry, L the lcm
-    of their denominators."""
-    den = lcm(*(e.d for row in acc.pivots.values() for e in row.values()))
-    rows = [(p, [(c, e.x * (den // e.d), e.y * (den // e.d)) for c, e in row.items()])
-            for p, row in acc.pivots.items()]
-    return [c for c in range(acc.ambient) if c not in acc.pivots], den, rows
-
-
-def draw_kernel_point(sampler: tuple, rng: random.Random) -> tuple:
-    """(xs, ys, L): a random null space element (xs + ys*i) / L of a
-    `kernel_sampler`'s rows.
+def random_kernel_vector(acc: RrefAccumulator, rng: random.Random) -> list:
+    """A random element of acc's null space, as Scalars.
 
     One `randint(-5, 5)` per free column, in column order, is that
     coordinate, and each pivot coordinate is minus its row applied to them:
     the combination of `acc.kernel_basis()` with those coefficients.  A round
     of all-zero draws is redrawn, up to 8 rounds; after that the first
     basis vector stands in.  A zero null space gives zeros without a draw.
+    The rows are taken as ints times L, the lcm of their denominators.
     """
-    free, den, rows = sampler
+    den = lcm(*(e.d for row in acc.pivots.values() for e in row.values()))
+    rows = [(p, [(c, e.x * (den // e.d), e.y * (den // e.d)) for c, e in row.items()])
+            for p, row in acc.pivots.items()]
+    free = [c for c in range(acc.ambient) if c not in acc.pivots]
     for _ in range(8):
         draws = [rng.randint(-5, 5) for _ in free]
         if any(draws):
@@ -113,12 +106,6 @@ def draw_kernel_point(sampler: tuple, rng: random.Random) -> tuple:
     for p, row in rows:
         xs[p] = -sum(a * values[c] for c, a, _ in row)
         ys[p] = -sum(b * values[c] for c, _, b in row)
-    return xs, ys, den
-
-
-def random_kernel_vector(acc: RrefAccumulator, rng: random.Random) -> list:
-    """`draw_kernel_point` on acc's rows, as Scalars."""
-    xs, ys, den = draw_kernel_point(kernel_sampler(acc), rng)
     return [Scalar.from_ints(x, y, den) for x, y in zip(xs, ys)]
 
 

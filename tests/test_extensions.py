@@ -2,16 +2,15 @@
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_lab import extensions
 from leibniz_lab.algebra import is_leibniz, is_lie, is_nilpotent, leibniz_residues
-from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _int_poly,
-                                    _mon_priority, _reduced_coefficients, _tracefree_substitution,
-                                    _vanishes, _witness_search, a_name, b_name,
+from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _mon_priority,
+                                    _reduced_coefficients, _tracefree_substitution,
+                                    _witness_search, a_name, b_name,
                                     build_extension, derive_relations,
                                     diagonal_names, expected_relation_forms,
                                     expected_substitution, generic_extension,
@@ -23,7 +22,7 @@ from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _int_poly,
                                     verify_max_extension_is_lie)
 from leibniz_lab.linalg import RrefAccumulator
 from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
-from leibniz_lab.symsolve import LinearSpan, equation_rref, random_scalar
+from leibniz_lab.symsolve import LinearSpan, equation_rref
 from leibniz_lab.triangular import (diagonal_vector, nil_independent_count,
                                     structure_matrices)
 
@@ -240,8 +239,9 @@ def scalar_kernel_vector(acc, rng, tries=8):
 
 
 def scalar_witness_search(factor_pairs, stated, covered, extras, variables, count, rng):
-    """The witness search as the sampler drew and tested its points before
-    it did so in ints, kept as its oracle."""
+    """The witness search in `Scalar` arithmetic throughout, with one RREF
+    per factor-choice pattern and `scalar_kernel_vector`'s draws, kept as
+    its oracle."""
     if not extras:
         return 0, True, None
     systems = {}
@@ -264,49 +264,12 @@ def scalar_witness_search(factor_pairs, stated, covered, extras, variables, coun
     return count, ok, None
 
 
-def random_poly(rng, names, terms=4, top=3):
-    """Up to `terms` terms of degree 0..top with Gaussian and fractional coefficients."""
-    p = Poly.zero()
-    for _ in range(rng.randint(1, terms)):
-        term = Poly.const(random_scalar(rng, -4, 4))
-        for _ in range(rng.randint(0, top)):
-            term = term * Poly.var(rng.choice(names))
-        p = p + term
-    return p
-
-
-def gaussian_point(rng, names):
-    """A Q(i) point and the same point as ints (xs + ys*i) / L."""
-    point = {v: random_scalar(rng, -3, 3) for v in names}
-    den = lcm(*(x.d for x in point.values()))
-    xs = [point[v].x * (den // point[v].d) for v in names]
-    ys = [point[v].y * (den // point[v].d) for v in names]
-    return point, xs, ys, den
-
-
-def test_the_integer_zero_test_matches_scalar_evaluation():
-    rng = random.Random(5)
-    names = ["u", "v", "w", "z"]
-    pos = {v: k for k, v in enumerate(names)}
-    seen = set()
-    for _ in range(300):
-        point, xs, ys, den = gaussian_point(rng, names)
-        p = random_poly(rng, names)
-        value = p.evaluate(point)
-        # a moved constant and a vanishing factor give mixed-degree zeros
-        shifted = p - Poly.const(value)
-        factor = Poly.var("u") - Poly.const(point["u"])
-        for q in (p, shifted, p * factor, p * factor + Poly.const(ONE)):
-            want = q.evaluate(point).is_zero()
-            assert _vanishes(_int_poly(q, pos), xs, ys, den) == want, (q, point)
-            seen.add(want)
-    assert seen == {True, False}
-
-
 def sampler_cases():
-    """(factor pairs, stated, covered, extras, variables): the (n, f) grid
-    with its extra quadratics, and one set of pairs with Gaussian,
-    fractional forms.  Each comes twice: once with extras that stop the
+    """(factor pairs, stated, covered, extras, variables) for `_witness_search`
+    and its oracle: four (n, f) points with the extra quadratics
+    `derive_relations` reports (none at (4, 1), where nothing is drawn),
+    and one set of pairs with Gaussian, fractional forms, whose RREF rows
+    have denominators.  Each comes twice: once with extras that stop the
     search early, once with extras that every point zeroes, so that it
     draws to the cap."""
     for n, f in ((3, 1), (4, 1), (4, 2), (5, 2)):
@@ -329,6 +292,9 @@ def sampler_cases():
 
 
 def test_the_integer_sampler_matches_the_scalar_sampler(monkeypatch):
+    """The search's result and its RNG consumption equal the pure-`Scalar`
+    oracle's over 60 draws: the same factor choices, the same kernel points
+    from `random_kernel_vector`'s int rows, and the same zero tests."""
     monkeypatch.setattr(extensions, "WITNESS_DRAWS", 60)  # as many draws as before
     for pairs, stated, covered, extras, names in sampler_cases():
         for seed in (0, 1, 2):
