@@ -532,39 +532,37 @@ def is_derivation(a: StructureTable, d: Matrix) -> bool:
 def derivation_algebra(a: StructureTable) -> Subspace:
     """All derivations, as a subspace of matrix space (entry (r,s) -> r*dim+s).
 
-    The defining conditions are linear in the matrix entries; the sparse
-    eliminator keeps large instances fast.
+    Row (i, j, k) is the e_k entry of D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j].
+    It is linear in the table, so the int cells of the scaled table give the
+    same kernel.  On a skew table the rows with i < j suffice:
+    - row (j, i, k) is minus row (i, j, k), as c_jis = -c_ijs, c_rik = -c_irk, c_jrk = -c_rjk;
+    - row (i, i, k) is -sum_r (c_rik + c_irk) D_ri, as c_iis = 0, and each c_rik + c_irk = 0.
     """
-    if a.ring != SCALAR:
-        raise ValueError("derivation_algebra requires scalar coefficients")
+    view = _IntView(a, "derivation_algebra")
     n = a.dim
-    # right[(j, k)]: the (r, c_rjk) with c_rjk != 0; left[(i, k)]: the (r, c_irk);
-    # built from the sorted table, so each list runs over r in increasing order
-    right: dict = {}
-    left: dict = {}
-    for (r, s), row in sorted(a.c.items()):
-        for k, c in row.items():
-            right.setdefault((s, k), []).append((r, c))
-            left.setdefault((r, k), []).append((s, c))
+    # right[j][k]: the (r*n, c_rjk) cells; left[i][k]: the (r*n, c_irk)
+    right: list = [{} for _ in range(n)]
+    left: list = [{} for _ in range(n)]
+    for r, gr in enumerate(view.grid):
+        for s, cells in enumerate(gr):
+            for k, x, y in cells:
+                right[s].setdefault(k, []).append((r * n, x, y))
+                left[r].setdefault(k, []).append((s * n, x, y))
+    pairs = combinations(range(n), 2) if _is_skew(a) else product(range(n), repeat=2)
 
     def rows():
-        for i in range(n):
-            for j in range(n):
-                cij = a.row(i, j)
-                for k in range(n):
-                    row: dict = {}
-                    for s, c in cij.items():
-                        row[k * n + s] = row.get(k * n + s, ZERO) + c
-                    # [d(ei), ej] contributes c_{rjk} * D[r][i]
-                    for r, c in right.get((j, k), ()):
-                        col = r * n + i
-                        row[col] = row.get(col, ZERO) - c
-                    for r, c in left.get((i, k), ()):
-                        col = r * n + j
-                        row[col] = row.get(col, ZERO) - c
-                    nz = {c: v for c, v in row.items() if not v.is_zero()}
-                    if nz:
-                        yield nz
+        for i, j in pairs:
+            cij, rj, li = view.grid[i][j], right[j], left[i]
+            for k in range(n) if cij else sorted(rj.keys() | li.keys()):
+                row = {k * n + s: (x, y) for s, x, y in cij}
+                # [D e_i, e_j] holds c_rjk D_ri and [e_i, D e_j] holds c_irk D_rj
+                for terms, col in ((rj.get(k, ()), i), (li.get(k, ()), j)):
+                    for rn, x, y in terms:
+                        u, v = row.get(rn + col, (0, 0))
+                        row[rn + col] = (u - x, v - y)
+                nz = {c: Scalar.from_ints(x, y, 1) for c, (x, y) in row.items() if x or y}
+                if nz:
+                    yield nz
 
     return kernel_of_sparse_rows(rows(), n * n)
 

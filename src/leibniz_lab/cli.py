@@ -258,7 +258,15 @@ def cmd_derivations(args) -> Report:
     der = derivation_algebra(table)
     verdicts = {"dim": der.dim, "ambient_dim": table.dim}
     if args.fmt == "structured":
-        verdicts["basis"] = [[str(c) for c in row] for row in der.mat.rows]
+        # the dense RREF rows' text from the sparse pivot rows: most entries are "0"
+        basis = []
+        for p, tail in sorted(der.acc.pivots.items()):
+            row = ["0"] * der.ambient
+            row[p] = "1"
+            for c, x in tail.items():
+                row[c] = str(x)
+            basis.append(row)
+        verdicts["basis"] = basis
     return Report("derivations", verdicts)
 
 

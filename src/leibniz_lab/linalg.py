@@ -111,7 +111,7 @@ class RrefAccumulator:
     {column: coeff} entries after the pivot; the pivot coefficient is 1 and
     every other row is 0 there.  Columns may be any mutually comparable
     keys.  `ambient`, the number of integer columns 0..ambient-1, is needed
-    only by the dense views `rows` and `kernel_basis`.  `holders` lists for
+    only by `rows` and `kernel_basis`.  `holders` lists for
     each column every pivot whose row holds it, and maybe some that did.
     """
 
@@ -173,13 +173,9 @@ class RrefAccumulator:
         return out
 
     def kernel_basis(self) -> list:
-        """Null space basis: for each free column c in order, e_c minus
-        column c of the stored rows placed at their pivots."""
-        basis = {}
-        for c in range(self.ambient):
-            if c not in self.pivots:
-                basis[c] = [ZERO] * self.ambient
-                basis[c][c] = ONE
+        """Null space basis as {column: coeff} rows: for each free column c
+        in order, e_c minus column c of the stored rows placed at their pivots."""
+        basis = {c: {c: ONE} for c in range(self.ambient) if c not in self.pivots}
         for p, row in self.pivots.items():
             for c, x in row.items():
                 basis[c][p] = -x
@@ -290,8 +286,8 @@ def invert(m: Matrix) -> Matrix:
 def sparse_kernel_basis(rows: Iterable, ncols: int) -> list:
     """Null space basis of a system of {column: coeff} or dense rows.
 
-    One vector per free column of the system's RREF, not row reduced; used
-    where a dense matrix would be wastefully big.
+    One {column: coeff} vector per free column of the system's RREF, not
+    row reduced; used where a dense matrix would be wastefully big.
     """
     acc = RrefAccumulator(ncols)
     for row in rows:
@@ -301,4 +297,7 @@ def sparse_kernel_basis(rows: Iterable, ncols: int) -> list:
 
 def kernel_of_sparse_rows(rows: Iterable, ncols: int) -> Subspace:
     """Null space of a sparse {column: coeff} system as a canonical Subspace."""
-    return Subspace.from_vectors(sparse_kernel_basis(rows, ncols), ambient=ncols)
+    acc = RrefAccumulator(ncols)
+    for v in sparse_kernel_basis(rows, ncols):
+        acc.add(v)
+    return acc.to_subspace()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from leibniz_lab import cli
-from leibniz_lab.algebra import StructureTable, load_table, save_table
+from leibniz_lab.algebra import StructureTable, derivation_algebra, load_table, save_table
 from leibniz_lab.cli import MAX_TRIANGULAR_N, main, read_params, run
 from leibniz_lab.extensions import derive_relations
 from leibniz_lab.scalars import Scalar
@@ -159,6 +159,21 @@ def test_derivations_output(tmp_path):
     assert "basis" not in report.verdicts
     structured = run(["derivations", str(out), "--format", "structured"])
     assert len(structured.verdicts["basis"]) == 11
+
+
+def test_structured_derivations_print_the_dense_basis(tmp_path):
+    """The basis text, built from the sparse pivot rows, is the dense
+    rows' text, here on a non-skew table with fractional and Gaussian
+    entries."""
+    table = StructureTable(3, ["x", "y", "z"], {(0, 0): {1: Scalar.parse("1/2")},
+                                                (0, 1): {2: Scalar.parse("2/3 + i")},
+                                                (1, 0): {2: Scalar.parse("-2*i")}})
+    path = tmp_path / "t.json"
+    save_table(table, str(path))
+    basis = run(["derivations", str(path), "--format", "structured"]).verdicts["basis"]
+    want = [[str(c) for c in row] for row in derivation_algebra(table).mat.rows]
+    assert basis == want
+    assert "4/3-2*i" in want[1] and len(want) == 3
 
 
 def test_structured_output_is_json(tmp_path, capsys):

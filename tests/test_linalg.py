@@ -19,6 +19,13 @@ def vec(xs):
     return [Scalar(Fraction(x)) for x in xs]
 
 
+def dense(row, ncols):
+    out = [ZERO] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
@@ -138,20 +145,29 @@ def test_accumulator_matches_from_vectors(rows):
         assert acc.contains(v)
 
 
+def dense_kernel(rows, ncols):
+    """The dense round trip `kernel_of_sparse_rows` replaced, kept as its
+    oracle: the kernel vectors made dense and spanned by `from_vectors`."""
+    basis = [dense(v, ncols) for v in sparse_kernel_basis(rows, ncols)]
+    return Subspace.from_vectors(basis, ambient=ncols)
+
+
 @settings(max_examples=60)
 @given(matrices())
 def test_sparse_kernel_agrees_with_dense(m):
     rows = [{j: x for j, x in enumerate(row) if not x.is_zero()}
             for row in m.rows]
     rows = [r for r in rows if r]
-    assert kernel_of_sparse_rows(rows, m.ncols) == kernel(m)
+    got = kernel_of_sparse_rows(rows, m.ncols)
+    assert got == dense_kernel(rows, m.ncols) == kernel(m)
+    assert is_rref(got.mat.rows)
 
 
 def test_sparse_kernel_basis_raw_form():
     rows = [{0: ONE, 1: ONE, 2: ONE}, {1: ONE, 2: -ONE}]
     basis = sparse_kernel_basis(rows, 3)
-    assert len(basis) == 1
-    assert span(basis, ambient=3) == kernel(mat([[1, 1, 1], [0, 1, -1]]))
+    assert basis == [{0: Scalar(-2), 1: ONE, 2: ONE}]
+    assert span([dense(v, 3) for v in basis], ambient=3) == kernel(mat([[1, 1, 1], [0, 1, -1]]))
 
 
 def test_sparse_kernel_no_equations_is_full():
@@ -219,7 +235,7 @@ def test_kernel_vectors_are_annihilated_and_rank_plus_nullity_is_ncols(m):
     _, rank = rref(m)
     sparse_rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in m.rows]
     basis = sparse_kernel_basis(sparse_rows, m.ncols)
-    for v in basis + kernel(m).mat.rows:
+    for v in [dense(b, m.ncols) for b in basis] + kernel(m).mat.rows:
         assert all(x.is_zero() for x in m.apply(v))
     assert rank + len(basis) == rank + kernel(m).dim == m.ncols
 

@@ -87,3 +87,35 @@ def test_every_tiny_operation_passes_its_check(tmp_path):
             if op.keep:
                 out = op.keep(out)
             assert op.check(out) is None, (name, op.name)
+
+
+def test_derivation_rows_reach_the_eliminator_through_its_hook():
+    """Under the tracer, derivation_algebra(T(5)) hands its rows to
+    `linalg.sparse_kernel_basis` from a generator it defines, so the row
+    count and the row-building time both land on their layers."""
+    tracing = load_perfbench("tracing")
+    lab = load_perfbench("workloads").load_program()
+    tracer = tracing.Tracer(lab)
+    tracer.install()
+    try:
+        lab["algebra"].derivation_algebra(lab["triangular"].triangular(5))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    pulls = [span for span in tracer.spans if span[0] == "algebra.derivation_algebra"
+             and span[3] >= 0 and names[span[3]] == "linalg.sparse_kernel_basis"]
+    assert tracer.counts["linalg.sparse_kernel_basis.rows"] == len(pulls) - 1 > 0
+
+
+def test_derivation_algebra_of_t8_stays_within_its_eliminator_budget(monkeypatch):
+    """T(8) is skew, so only its conditions with i < j are built: 3,780 rows
+    and 41 kernel vectors, against 7,601 adds for the full loop."""
+    from leibniz_lab.algebra import derivation_algebra
+    from leibniz_lab.linalg import RrefAccumulator
+    from leibniz_lab.triangular import triangular
+
+    calls = []
+    add = RrefAccumulator.add
+    monkeypatch.setattr(RrefAccumulator, "add", lambda acc, vec: calls.append(1) or add(acc, vec))
+    assert derivation_algebra(triangular(8)).dim == 41
+    assert len(calls) <= 3900

@@ -111,7 +111,8 @@ def test_random_kernel_vector_matches_the_dense_combination(acc, seed, zeros):
     make = ZeroDraws if zeros else random.Random
     rng, ref = make(seed), make(seed)
     vec = random_kernel_vector(acc, rng)
-    assert vec == dense_random_combination(acc.kernel_basis(), acc.ambient, ref)
+    basis = [[row.get(c, ZERO) for c in range(acc.ambient)] for row in acc.kernel_basis()]
+    assert vec == dense_random_combination(basis, acc.ambient, ref)
     assert rng.getstate() == ref.getstate()
     for row in acc.rows():
         total = ZERO
