@@ -200,15 +200,22 @@ def leibniz_residues(a: StructureTable) -> list:
     """
     if a.ring == SCALAR:
         return _scalar_residues(_IntView(a, "leibniz_residues"), a.dim)
-    return _poly_residues(a)
+    return _poly_residues(a, polys=True)[1]
 
 
-def _poly_residues(a: StructureTable) -> list:
-    """The scan on the (monomial, re, im) int cells of D times each entry,
-    D the lcm of the denominators, so it finds D**2 times each residue.  Like
+def _cell_poly(cells: dict, den: int) -> Poly:
+    """The Poly of {monomial: (re, im)} nonzero int cells over den."""
+    return _poly({m: Scalar.from_ints(x, y, den) for m, (x, y) in cells.items()})
+
+
+def _poly_residues(a: StructureTable, polys: bool = False) -> tuple:
+    """(D**2, [((i, j, k), {component: {monomial: (re, im)}})]): the scan of a
+    Poly table on the (monomial, re, im) int cells of D times each entry, D
+    the lcm of the denominators, which finds D**2 times each residue; with
+    `polys`, each coefficient is made a Poly once its triple is done.  Like
     Poly.__mul__ and Poly.__add__, a product and a sum delete a term where it
     cancels: every coefficient keeps Poly arithmetic's term order.  A product
-    is added to its component cell by cell, in place; only a product of two
+    is added to its component cell by cell, in place, but a product of two
     multi-term entries is summed on its own first, since its terms may meet."""
     d = a.dim
     den = lcm(*(c.d for row in a.c.values() for p in row.values() for c in p.terms.values()))
@@ -231,7 +238,6 @@ def _poly_residues(a: StructureTable) -> list:
                     continue
             t[m] = x, y
 
-    den2 = den * den
     out = []
     for i, j, k in product(range(d), repeat=3):
         gij, gjk, gik = grid[i][j], grid[j][k], grid[i][k]
@@ -242,7 +248,9 @@ def _poly_residues(a: StructureTable) -> list:
             for m, u in outer:
                 for r, v in rows[m]:
                     both = len(u) > 1 and len(v) > 1    # the product's own terms may meet
-                    t = {} if both else acc.setdefault(r, {})
+                    t = {} if both else acc.get(r)
+                    if t is None:
+                        t = acc[r] = {}
                     for m1, p, q in u:          # t += sign * u * v, cell by cell, as `into` adds
                         p, q = sign * p, sign * q
                         for m2, x, y in v:
@@ -259,11 +267,10 @@ def _poly_residues(a: StructureTable) -> list:
                                 del t[mon]
                     if both:
                         into(acc.setdefault(r, {}), t.items())
-        nz = {r: _poly({m: Scalar.from_ints(x, y, den2) for m, (x, y) in t.items()})
-              for r, t in acc.items() if t}
+        nz = {r: _cell_poly(t, den * den) if polys else t for r, t in acc.items() if t}
         if nz:
             out.append(((i, j, k), nz))
-    return out
+    return den * den, out
 
 
 def _scalar_residues(view: _IntView, d: int) -> list:

@@ -16,7 +16,7 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
-from .algebra import POLY, StructureTable, is_lie, leibniz_residues
+from .algebra import POLY, StructureTable, _cell_poly, _poly_residues, is_lie, leibniz_residues
 from .linalg import Matrix, RrefAccumulator
 from .scalars import ONE, ZERO, Poly, Record, Scalar
 from .symsolve import LinearSpan, equation_rref, random_kernel_vector, random_scalar
@@ -168,15 +168,25 @@ def linear_forms_in_span(polys: Iterable[Poly]) -> list:
     a nonzero, so the row's is 0, in every prefix of the rows too.  The
     degree-1 pivots thus come from the same rows in the same order: the same
     forms, each a row of the unique RREF; only a form's term order can differ.
+    A kept row equal to an earlier one, or with one term like an earlier
+    one-term row, is added once: it would reduce to 0 and change nothing.
     """
-    rows, holders = [], {}          # holders: monomial of degree >= 2 -> rows
-    for p in polys:
-        if not p.constant_term().is_zero():
+    return _linear_forms([p.terms for p in polys])
+
+
+def _linear_forms(rows: list, ints: bool = False) -> list:
+    """`linear_forms_in_span` on a list, which it consumes, of {monomial:
+    nonzero coefficient} rows.  With `ints` the coefficients are (re, im) int
+    pairs, read as Scalars over 1 and only in the rows that are eliminated:
+    the cells of `_poly_residues` are D**2 times the residues, and a common
+    factor changes no span and no step of the RREF."""
+    holders = {}                    # monomial of degree >= 2 -> rows
+    for r, terms in enumerate(rows):
+        if () in terms:
             raise ValueError("unexpected constant term in a residue polynomial")
-        for mon in p.terms:
+        for mon in terms:
             if len(mon) > 1 or mon[0][1] > 1:
-                holders.setdefault(mon, []).append(len(rows))
-        rows.append(p.terms)
+                holders.setdefault(mon, []).append(r)
     lone = [mon for mon, held in holders.items() if len(held) == 1]
     while lone:
         held = holders[lone.pop()]
@@ -188,9 +198,10 @@ def linear_forms_in_span(polys: Iterable[Poly]) -> list:
                     if len(holders[mon]) == 1:
                         lone.append(mon)
             rows[r] = None
-    acc = RrefAccumulator()
-    for terms in filter(None, rows):    # a dropped row is None
-        acc.add({_mon_priority(mon): c for mon, c in terms.items()})
+    acc = RrefAccumulator()         # a dropped row is None; a repeat is added once
+    kept = {tuple(t.items()) if len(t) > 1 else next(iter(t)): t for t in filter(None, rows)}
+    for t in kept.values():
+        acc.add({_mon_priority(m): Scalar.from_ints(*c, 1) if ints else c for m, c in t.items()})
     out = []
     for lead, row in acc.pivots.items():
         if lead[0] == 1:
@@ -278,11 +289,6 @@ class ResidueReport(Record):
                 and not self.missing_linear and not self.unexplained_residual)
 
 
-def _coefficients(residues: list) -> list:
-    """The coefficients of a residue scan's output, in its order."""
-    return [c for _, comps in residues for c in comps.values()]
-
-
 def _dedupe_monic(polys: Iterable[Poly]) -> tuple:
     seen = {q.sort_key(): q for q in (p.monic() for p in polys if not p.is_zero())}
     return tuple(seen[k] for k in sorted(seen))
@@ -295,13 +301,16 @@ def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
     degree <= 1 element of the scalar span of the residue coefficients, then
     substitute the solved relations into the table and scan it again: the
     bracket is bilinear and substitution a ring map, so its residues are the
-    substituted ones, found from a few small entries.  What
-    survives substitution must be homogeneous quadratic; on the zero-trace
-    slice each leftover is covered by the stated products' span or is extra.
-    An extra nonzero at a point of the stated products' zero set proves them
-    incomplete: on an `ok` report the generic table under
-    `expected_substitution` and the zero-trace substitution, at that point
-    and 0 elsewhere, is not Leibniz.  `_witness_search` looks for one, and
+    substituted ones, found from a few small entries.  Each scan's int cells
+    go to `_linear_forms`, which makes Scalars only of the rows it eliminates,
+    and Polys are built only for the forms and the last scan's coefficients.
+    A span's RREF is unique: spans with equal RREFs are equal, and no form is
+    tested.  What survives substitution must be homogeneous quadratic; on the
+    zero-trace slice each leftover is covered by the stated products' span or
+    is extra.  An extra nonzero at a point of the stated products' zero set
+    proves them incomplete: on an `ok` report the generic table under
+    `expected_substitution` and the zero-trace substitution, at that point and
+    0 elsewhere, is not Leibniz.  `_witness_search` looks for one, and
     `witness` is None when there is no extra or no draw found one.
     `sample_points` and `sampling_ok` (each point zeroed the covered
     leftovers) are a consistency check of the points, not a proof.
@@ -310,35 +319,33 @@ def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
         raise ValueError("relation derivation is capped at n = 6")
     _check_rank(n, f)
     gen = generic_extension(n, f)
-    residues = leibniz_residues(gen)
+    den2, cells = _poly_residues(gen)
+    residue_count = len(cells)
 
-    derived: list = []
-    span = LinearSpan([])
-    current = _coefficients(residues)
-    sub: dict = {}
-    rounds = 0
+    derived, span, sub, rounds = [], LinearSpan([]), {}, 0
     for _ in range(8):
-        fresh = [p for p in linear_forms_in_span(current) if not span.contains(p)]
+        rows = [c for _, comps in cells for c in comps.values()]
+        fresh = [p for p in _linear_forms(rows, True) if not span.contains(p)]
         if not fresh:
             break
         rounds += 1
         span = LinearSpan(derived + fresh)
         derived = span.basis_forms()
         sub = solve_linear_forms(derived)
-        current = _coefficients(leibniz_residues(gen.substitute(sub)))
+        den2, cells = _poly_residues(gen.substitute(sub))
 
     expected, expected_sub = _expected(n, f)
     expected_span = LinearSpan(expected)
-    unexplained_linear = tuple(p for p in derived if not expected_span.contains(p))
-    missing_linear = tuple(p for p in expected if not span.contains(p))
+    unexplained_linear = missing_linear = ()
+    if span != expected_span:
+        unexplained_linear = tuple(p for p in derived if not expected_span.contains(p))
+        missing_linear = tuple(p for p in expected if not span.contains(p))
     matches = not unexplained_linear and not missing_linear
     if matches and sub != expected_sub:
-        current = _coefficients(leibniz_residues(gen.substitute(expected_sub)))
+        den2, cells = _poly_residues(gen.substitute(expected_sub))
 
     leftovers_low, quadratics = [], []
-    for p in current:
-        if p.is_zero():
-            continue
+    for p in [_cell_poly(c, den2) for _, comps in cells for c in comps.values()]:
         low = p.max_degree_below(2)
         if not low.is_zero():
             leftovers_low.append(low)
@@ -370,7 +377,7 @@ def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
 
     return ResidueReport(
         n=n, f=f, seed=seed,
-        residue_count=len(residues),
+        residue_count=residue_count,
         rounds=rounds,
         derived_linear=tuple(derived),
         expected_linear=tuple(expected),
@@ -583,7 +590,7 @@ def verify_corner_annihilation(a: StructureTable, n: int, f: int) -> bool:
 @lru_cache(maxsize=None)
 def _reduced_coefficients(n: int, f: int) -> tuple:
     """The residue coefficients of reduced_extension(n, f), scanned once."""
-    return tuple(_coefficients(leibniz_residues(reduced_extension(n, f))))
+    return tuple(c for _, cs in leibniz_residues(reduced_extension(n, f)) for c in cs.values())
 
 
 @lru_cache(maxsize=None)

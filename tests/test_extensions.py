@@ -1,5 +1,6 @@
 """Generic extension families, forced relations, and exact sampling."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -168,6 +169,44 @@ def test_derive_relations_reproduces_expected():
         assert rep.linear_matches_expected
         assert rep.unexplained_residual == ()
         assert rep.sampling_ok
+
+
+# sha256 of the reports' reprs below, computed before the linear layer read
+# the scan's int cells and compared spans by their RREFs
+NO_LINEAR_ROUND_SHA256 = "bb9484aa271fd0378a02703f63593215065590a341027f5f8886c2dfea07e7e3"
+SHORT_EXPECTATION_SHA256 = "c355fb20de23146965514805f8c192b726f463ce517a2efe36e4e436347e9286"
+
+
+def reports_digest(points):
+    reports = [derive_relations(n, f, seed=1) for n, f in points]
+    return reports, hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+
+
+def test_a_family_with_no_linear_relation_reports_every_expected_one_missing(monkeypatch):
+    """On the reduced family the first scan spans no linear form: no round
+    runs, its coefficients go straight to the quadratic split, and the spans
+    differ, so each expected form is tested and reported missing."""
+    monkeypatch.setattr(extensions, "generic_extension", reduced_extension)
+    reports, digest = reports_digest(((3, 1), (4, 2)))
+    assert [(r.rounds, len(r.missing_linear), r.unexplained_linear) for r in reports] \
+        == [(0, 9, ()), (0, 86, ())]
+    assert digest == NO_LINEAR_ROUND_SHA256
+
+
+def test_a_short_expectation_reports_the_unexplained_form(monkeypatch):
+    """With the expected forms short of one, the spans differ and the derived
+    span holds exactly one form the expected one lacks."""
+    expected = extensions._expected
+
+    def short(n, f):
+        forms, sub = expected(n, f)
+        return forms[:-1], sub
+
+    monkeypatch.setattr(extensions, "_expected", short)
+    reports, digest = reports_digest(((3, 1), (4, 2)))
+    assert [(len(r.unexplained_linear), r.missing_linear) for r in reports] == [(1, ()), (1, ())]
+    assert not any(r.ok for r in reports)
+    assert digest == SHORT_EXPECTATION_SHA256
 
 
 def test_derive_relations_quadratic_layer():

@@ -119,3 +119,21 @@ def test_derivation_algebra_of_t8_stays_within_its_eliminator_budget(monkeypatch
     monkeypatch.setattr(RrefAccumulator, "add", lambda acc, vec: calls.append(1) or add(acc, vec))
     assert derivation_algebra(triangular(8)).dim == 41
     assert len(calls) <= 3900
+
+
+def test_derive_relations_at_5_2_stays_within_its_scalar_budget(monkeypatch):
+    """Cold, derive_relations(5, 2) makes Scalars only of the residue cells
+    its eliminator takes, each once, and of the Polys it returns or splits:
+    4,926 in all, against 13,274 when the scan built a Poly for every
+    coefficient."""
+    from leibniz_lab import extensions, scalars, triangular
+
+    for mod in (extensions, triangular):
+        for obj in vars(mod).values():
+            if callable(obj) and hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    made = []
+    new = scalars._new
+    monkeypatch.setattr(scalars, "_new", lambda x, y, d: made.append(1) or new(x, y, d))
+    assert extensions.derive_relations(5, 2).ok
+    assert len(made) <= 6500

@@ -4,7 +4,9 @@ The oracle is the scan in Poly arithmetic that the int-cell scan replaced.
 The two must agree exactly: triples, component order, each coefficient's
 term order, and the coefficients themselves.  Substitution is a ring map and
 the bracket is bilinear, so substituting into the table and scanning again
-gives the substituted residues.
+gives the substituted residues.  `derive_relations` hands the scan's int
+cells to the linear-form elimination without building Polys; the forms it
+gets must be those of `linear_forms_in_span` on the public scan's Polys.
 """
 
 from fractions import Fraction
@@ -12,10 +14,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibniz_lab.algebra import POLY, StructureTable, leibniz_residues
-from leibniz_lab.extensions import (derive_relations, expected_substitution,
-                                    generic_extension, reduced_extension,
-                                    solve_linear_forms)
+from leibniz_lab.algebra import POLY, StructureTable, _poly_residues, leibniz_residues
+from leibniz_lab.extensions import (_linear_forms, derive_relations, expected_substitution,
+                                    generic_extension, linear_forms_in_span,
+                                    reduced_extension, solve_linear_forms)
 from leibniz_lab.scalars import Poly, Scalar
 
 RELATION_GRID = ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2))
@@ -108,17 +110,24 @@ polys = st.one_of(st.dictionaries(monomials, coefficients, min_size=1, max_size=
                   st.dictionaries(monomials, coefficients, max_size=3)).map(Poly)
 
 
+# entries of degree <= 1: a residue's linear part is then constants times
+# linear terms, and linear forms in the span are more common
+affine_monomials = monomials.filter(lambda m: sum(e for _, e in m) < 2)
+affine_polys = st.one_of(st.dictionaries(affine_monomials, coefficients, min_size=1, max_size=1),
+                         st.dictionaries(affine_monomials, coefficients, max_size=3)).map(Poly)
+
+
 @st.composite
-def poly_tables(draw):
-    """Entries of degree 0 to 2, some of them zero; with the skew partner of
-    an entry often present, and few monomials and coefficients, many terms
-    cancel."""
+def poly_tables(draw, values=polys):
+    """Entries drawn from `values`, by default of degree 0 to 2, some of them
+    zero; with the skew partner of an entry often present, and few monomials
+    and coefficients, many terms cancel."""
     dim = draw(st.integers(1, 3))
     index = st.integers(0, dim - 1)
     keys = draw(st.lists(st.tuples(index, index), unique=True, max_size=dim * dim))
     entries: dict = {}
     for i, j in keys:
-        row = draw(st.dictionaries(index, polys, max_size=dim))
+        row = draw(st.dictionaries(index, values, max_size=dim))
         entries[(i, j)] = row
         if (j, i) not in entries and draw(st.booleans()):
             entries[(j, i)] = {k: -c for k, c in row.items()}
@@ -129,6 +138,54 @@ def poly_tables(draw):
 @given(poly_tables())
 def test_int_scan_matches_poly_arithmetic_on_drawn_tables(table):
     assert exact(leibniz_residues(table)) == exact(_poly_arithmetic_residues(table))
+
+
+# -- the int cells reach the linear forms unchanged --------------------------
+
+def forms_text(forms):
+    """Each form's terms in its order, with each coefficient's normal form."""
+    return [[(m, (c.x, c.y, c.d)) for m, c in p.terms.items()] for p in forms]
+
+
+def cell_forms(table, constants=True):
+    """The forms `derive_relations` takes from a table's int cells, or the
+    error they raise; without `constants`, from the cells of degree >= 1."""
+    _, cells = _poly_residues(table)
+    rows = [{m: c for m, c in row.items() if constants or m}
+            for _, comps in cells for row in comps.values()]
+    try:
+        return forms_text(_linear_forms(rows, True))
+    except ValueError as err:
+        return str(err)
+
+
+def public_forms(table, constants=True):
+    """`linear_forms_in_span` on the public scan's coefficients, or its error."""
+    polys = [Poly({m: c for m, c in p.terms.items() if constants or m})
+             for _, comps in leibniz_residues(table) for p in comps.values()]
+    try:
+        return forms_text(linear_forms_in_span(polys))
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("n, f", RELATION_GRID)
+def test_the_cell_path_finds_the_public_scans_forms_on_the_grid(n, f):
+    table = generic_extension(n, f)
+    got = cell_forms(table)
+    assert got and not isinstance(got, str)
+    assert got == public_forms(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(poly_tables(), poly_tables(affine_polys)))
+def test_the_cell_path_finds_the_public_scans_forms_on_drawn_tables(table):
+    # drawn entries have denominators and Gaussian parts, which the grid's
+    # tables lack.  Their residues often have a constant term, which both
+    # paths must turn down; without it, the forms come from the products of
+    # constant entries with linear ones, most often in affine tables.
+    assert cell_forms(table) == public_forms(table)
+    assert cell_forms(table, False) == public_forms(table, False)
 
 
 # -- substitution commutes with the scan -------------------------------------
