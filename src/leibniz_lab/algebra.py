@@ -103,8 +103,9 @@ class StructureTable:
 
 class _IntView:
     """grid[i][j]: the (component, re, im) int cells of D * [e_i, e_j], D the
-    lcm of the denominators; size: the largest |re| + |im|.  Built per public
-    call, not cached: a caller keeping many tables would keep entries twice."""
+    lcm of the denominators; size: the largest |re| + |im|.  For the residue
+    scans, series, change_of_basis and derivation_algebra; built per call, not
+    cached: a caller keeping many tables would keep entries twice."""
 
     __slots__ = ("den", "grid", "size")
 
@@ -124,12 +125,6 @@ def _scaled(scalars) -> tuple:
     den = lcm(*(c.d for c in scalars))
     pairs = [(c.x * (den // c.d), c.y * (den // c.d)) for c in scalars]
     return den, pairs, max([abs(x) + abs(y) for x, y in pairs], default=0)
-
-
-def _sparse_ints(vec: Sequence) -> tuple:
-    """(den, [(index, re, im)]) of the nonzero entries of den * vec."""
-    den, pairs, _ = _scaled(vec)
-    return den, [(i, x, y) for i, (x, y) in enumerate(pairs) if x or y]
 
 
 def _slot_bits(bound: int) -> int:
@@ -184,12 +179,18 @@ def bracket(a: StructureTable, x: Sequence, y: Sequence) -> list:
     """Product of two coefficient vectors in the based algebra."""
     if len(x) != a.dim or len(y) != a.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    view = _IntView(a, "bracket")
-    dx, xs = _sparse_ints(x)
-    dy, ys = _sparse_ints(y)
-    den = view.den * dx * dy
-    re, im = _bracket_ints(view.grid, xs, ys, a.dim)
-    return [Scalar.from_ints(r, s, den) for r, s in zip(re, im)]
+    if a.ring != SCALAR:
+        raise ValueError("bracket requires scalar coefficients")
+    out = [ZERO] * a.dim
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y):
+            if yj.is_zero():
+                continue
+            for k, c in a.row(i, j).items():
+                out[k] = out[k] + xi * yj * c
+    return out
 
 
 def leibniz_residues(a: StructureTable) -> list:
@@ -351,20 +352,15 @@ def mult_matrix(a: StructureTable, x: Sequence, side: str) -> Matrix:
 
     Columns are the images of the basis vectors in coordinates.
     """
-    view = _IntView(a, "mult_matrix")
+    if a.ring != SCALAR:
+        raise ValueError("mult_matrix requires scalar coefficients")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if len(x) != a.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    d = a.dim
-    dx, xs = _sparse_ints(x)
-    den = view.den * dx
-    cols = []
-    for s in range(d):
-        es = [(s, 1, 0)]
-        re, im = _bracket_ints(view.grid, *((es, xs) if side == "right" else (xs, es)), d)
-        cols.append([Scalar.from_ints(r, t, den) for r, t in zip(re, im)])
-    return Matrix([[cols[s][r] for s in range(d)] for r in range(d)], ncols=d)
+    cols = [bracket(a, e, x) if side == "right" else bracket(a, x, e)
+            for e in map(a.basis_vector, range(a.dim))]
+    return Matrix(zip(*cols), ncols=a.dim)
 
 
 class _IntSpan:
@@ -496,44 +492,21 @@ def right_annihilator(a: StructureTable) -> Subspace:
 
 def is_ideal(a: StructureTable, s: Subspace) -> bool:
     """Two-sided ideal test for a subspace."""
-    view = _IntView(a, "is_ideal")
+    if a.ring != SCALAR:
+        raise ValueError("is_ideal requires scalar coefficients")
     if s.ambient != a.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    d = a.dim
-    for u in s.mat.rows:
-        us = _sparse_ints(u)[1]
-        for i in range(d):
-            ei = [(i, 1, 0)]
-            # membership does not see the common denominator
-            for re, im in (_bracket_ints(view.grid, ei, us, d),
-                           _bracket_ints(view.grid, us, ei, d)):
-                if not s.contains([Scalar(r, t) for r, t in zip(re, im)]):
-                    return False
-    return True
+    return all(s.contains(bracket(a, e, u)) and s.contains(bracket(a, u, e))
+               for u in s.mat.rows for e in map(a.basis_vector, range(a.dim)))
 
 
 def is_derivation(a: StructureTable, d: Matrix) -> bool:
-    """Check d([x,y]) = [d(x),y] + [x,d(y)] on all basis pairs."""
-    view = _IntView(a, "is_derivation")
+    """d[x,y] = [dx,y] + [x,dy] on basis pairs: d, read by rows, lies in derivation_algebra."""
+    if a.ring != SCALAR:
+        raise ValueError("is_derivation requires scalar coefficients")
     if d.nrows != a.dim or d.ncols != a.dim:
         raise ValueError("derivation matrix shape mismatch")
-    n = a.dim
-    # every term is over the common denominator den(d) * D, so compare ints
-    _, cells, _ = _scaled(chain.from_iterable(d.rows))
-    cols = [[(r, *cells[r * n + s]) for r in range(n) if any(cells[r * n + s])]
-            for s in range(n)]
-    for i in range(n):
-        for j in range(n):
-            re, im = _bracket_ints(view.grid, cols[i], [(j, 1, 0)], n)
-            re2, im2 = _bracket_ints(view.grid, [(i, 1, 0)], cols[j], n)
-            for s, x, y in view.grid[i][j]:
-                for k, u, v in cols[s]:
-                    re[k] -= x * u - y * v
-                    im[k] -= x * v + y * u
-            # [d(e_i), e_j] - d([e_i, e_j]) + [e_i, d(e_j)] must vanish
-            if any(r + t for r, t in zip(re + im, re2 + im2)):
-                return False
-    return True
+    return derivation_algebra(a).contains(list(chain.from_iterable(d.rows)))
 
 
 def derivation_algebra(a: StructureTable) -> Subspace:

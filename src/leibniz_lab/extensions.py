@@ -304,11 +304,14 @@ def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
     substituted ones, found from a few small entries.  Each scan's int cells
     go to `_linear_forms`, which makes Scalars only of the rows it eliminates,
     and Polys are built only for the forms and the last scan's coefficients.
-    A span's RREF is unique: spans with equal RREFs are equal, and no form is
-    tested.  What survives substitution must be homogeneous quadratic; on the
-    zero-trace slice each leftover is covered by the stated products' span or
-    is extra.  An extra nonzero at a point of the stated products' zero set
-    proves them incomplete: on an `ok` report the generic table under
+    Each round solves its pivots in the free variables, so the rescan names
+    none, and no new form lies in the span: none is tested.  The solution is
+    the span's unique RREF, so it equals `expected_substitution` exactly when
+    the spans are equal; only when not are the forms tested.  What survives
+    substitution must be homogeneous quadratic; on the zero-trace slice each
+    leftover is covered by the stated products' span or is extra.  An extra
+    nonzero at a point of the stated products' zero set proves them
+    incomplete: on an `ok` report the generic table under
     `expected_substitution` and the zero-trace substitution, at that point and
     0 elsewhere, is not Leibniz.  `_witness_search` looks for one, and
     `witness` is None when there is no extra or no draw found one.
@@ -322,27 +325,25 @@ def derive_relations(n: int, f: int, seed: int = 0) -> ResidueReport:
     den2, cells = _poly_residues(gen)
     residue_count = len(cells)
 
-    derived, span, sub, rounds = [], LinearSpan([]), {}, 0
+    forms, sub, rounds = [], {}, 0
     for _ in range(8):
-        rows = [c for _, comps in cells for c in comps.values()]
-        fresh = [p for p in _linear_forms(rows, True) if not span.contains(p)]
+        fresh = _linear_forms([c for _, comps in cells for c in comps.values()], True)
         if not fresh:
             break
         rounds += 1
-        span = LinearSpan(derived + fresh)
-        derived = span.basis_forms()
-        sub = solve_linear_forms(derived)
+        forms += fresh
+        sub = solve_linear_forms(forms)
         den2, cells = _poly_residues(gen.substitute(sub))
+    span = LinearSpan(forms)
+    derived = span.basis_forms()
 
     expected, expected_sub = _expected(n, f)
-    expected_span = LinearSpan(expected)
     unexplained_linear = missing_linear = ()
-    if span != expected_span:
+    matches = sub == expected_sub
+    if not matches:
+        expected_span = LinearSpan(expected)
         unexplained_linear = tuple(p for p in derived if not expected_span.contains(p))
         missing_linear = tuple(p for p in expected if not span.contains(p))
-    matches = not unexplained_linear and not missing_linear
-    if matches and sub != expected_sub:
-        den2, cells = _poly_residues(gen.substitute(expected_sub))
 
     leftovers_low, quadratics = [], []
     for p in [_cell_poly(c, den2) for _, comps in cells for c in comps.values()]:

@@ -176,7 +176,7 @@ def test_scalar_and_poly_scans_agree():
             for t, comps in leibniz_residues(consts)] == got
 
 
-# -- integer kernels against the Scalar loops they replaced ------------------
+# -- integer kernels against Scalar loops ------------------------------------
 
 def ref_bracket(a, x, y):
     out = [ZERO] * a.dim
@@ -265,8 +265,10 @@ def seeded_change(dim, seed):
 @settings(max_examples=40, deadline=None)
 @given(random_tables(), st.data())
 def test_integer_kernels_match_scalar_loops(table, data):
-    """bracket, mult_matrix, is_derivation, both series, is_ideal and
-    change_of_basis against the Scalar loops, over Q and over Q(i)."""
+    """Both series and change_of_basis, which run on the integer view,
+    against the Scalar loops, over Q and over Q(i).  bracket, mult_matrix
+    and is_ideal are such loops themselves; is_derivation, a membership test
+    in derivation_algebra, is checked against the derivation identity."""
     coefs = data.draw(st.sampled_from((rationals.map(Scalar), gaussians)))
     x, y = (data.draw(st.lists(coefs, min_size=table.dim, max_size=table.dim))
             for _ in range(2))
@@ -524,6 +526,39 @@ def test_mult_matrix_oracle():
 def test_mult_matrix_rejects_bad_side():
     with pytest.raises(ValueError):
         mult_matrix(T4, basis_vec(T4, "N12"), "up")
+
+
+def test_table_kernels_check_their_input_in_order():
+    """bracket, mult_matrix, is_ideal and is_derivation: each message, and
+    which check comes first when an input fails two of them."""
+    def fails(message, kernel, *args):
+        with pytest.raises(ValueError) as err:
+            kernel(*args)
+        assert str(err.value) == message
+
+    family = StructureTable(3, ["x", "y", "z"], {(0, 1): {2: Poly.var("t")}}, ring=POLY)
+    short, three = [ZERO] * 2, [ZERO] * 3
+    length = "vector length must equal the algebra dimension"
+    # bracket checks lengths before the ring; the others check the ring first
+    fails(length, bracket, family, short, three)
+    fails(length, bracket, family, three, short)
+    fails("bracket requires scalar coefficients", bracket, family, three, three)
+    fails("mult_matrix requires scalar coefficients", mult_matrix, family, short, "up")
+    fails("is_ideal requires scalar coefficients", is_ideal, family, Subspace.zero(2))
+    fails("is_derivation requires scalar coefficients", is_derivation, family,
+          Matrix.identity(2))
+    # mult_matrix checks the side before the length, also in dimension 0
+    empty = StructureTable(0, [], {})
+    fails("side must be 'left' or 'right'", mult_matrix, T4, short, "up")
+    fails(length, mult_matrix, T4, short, "left")
+    fails(length, mult_matrix, empty, [ONE], "right")
+    assert mult_matrix(empty, [], "right") == Matrix([], ncols=0)
+    assert bracket(empty, [], []) == []
+    fails("subspace ambient dimension mismatch", is_ideal, T4, Subspace.full(5))
+    shape = "derivation matrix shape mismatch"
+    fails(shape, is_derivation, T4, Matrix.identity(5))
+    fails(shape, is_derivation, T4, Matrix.zeros(6, 5))
+    fails(shape, is_derivation, T4, Matrix.zeros(5, 6))
 
 
 def test_right_multiplications_are_derivations():

@@ -171,6 +171,15 @@ def test_derive_relations_reproduces_expected():
         assert rep.sampling_ok
 
 
+def test_the_expected_substitution_solves_the_expected_forms():
+    """derive_relations compares the solved substitutions: each is the unique
+    RREF of its span in one column order, so equal spans give equal ones."""
+    for n in range(3, 9):
+        for f in range(1, n):
+            assert expected_substitution(n, f) \
+                == solve_linear_forms(expected_relation_forms(n, f)), (n, f)
+
+
 # sha256 of the reports' reprs below, computed before the linear layer read
 # the scan's int cells and compared spans by their RREFs
 NO_LINEAR_ROUND_SHA256 = "bb9484aa271fd0378a02703f63593215065590a341027f5f8886c2dfea07e7e3"
@@ -199,8 +208,8 @@ def test_a_short_expectation_reports_the_unexplained_form(monkeypatch):
     expected = extensions._expected
 
     def short(n, f):
-        forms, sub = expected(n, f)
-        return forms[:-1], sub
+        forms = expected(n, f)[0][:-1]
+        return forms, solve_linear_forms(forms)
 
     monkeypatch.setattr(extensions, "_expected", short)
     reports, digest = reports_digest(((3, 1), (4, 2)))

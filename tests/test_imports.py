@@ -36,3 +36,43 @@ def test_program_modules_import_only_what_they_use():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each private module-level function, class or
+    constant that no module of sources, {module: source}, reads.
+
+    A name counts as read where it is loaded or named in a `from` import;
+    dunder names are skipped.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(hit for hit in defined if hit[2] not in read)
+
+
+def test_program_modules_read_every_private_name():
+    # the check itself sees a private name nothing reads, in any module, and
+    # counts a load or a `from` import anywhere as a read
+    assert unread_private_names({
+        "a.py": "_A = 1\n__all__ = []\ndef _f(): pass\nclass _C: pass\ndef g(): return _A\n",
+        "b.py": "from .a import _f as f\n_unused: int = 0\n"}) \
+        == [("a.py", 4, "_C"), ("b.py", 2, "_unused")]
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 1
+    assert unread_private_names(sources) == []

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leibniz_lab import extensions
 from leibniz_lab.algebra import POLY, StructureTable, _poly_residues, leibniz_residues
 from leibniz_lab.extensions import (_linear_forms, derive_relations, expected_substitution,
                                     generic_extension, linear_forms_in_span,
@@ -215,6 +216,22 @@ def test_the_solved_substitutions_commute_with_the_scan(n, f):
 def _variables(table):
     return sorted(set().union(*(p.indeterminates() for row in table.c.values()
                                 for p in row.values())))
+
+
+@pytest.mark.parametrize("n, f", RELATION_GRID)
+def test_no_rescan_names_a_solved_variable(monkeypatch, n, f):
+    """Each round of derive_relations solves its pivots in the free
+    variables, so the table that the next round scans names none of them,
+    and no form it finds lies in the span found before: no form is tested."""
+    tables, subs = [], []
+    scan, solve = extensions._poly_residues, extensions.solve_linear_forms
+    monkeypatch.setattr(extensions, "_poly_residues", lambda t: tables.append(t) or scan(t))
+    monkeypatch.setattr(extensions, "solve_linear_forms",
+                        lambda forms: subs.append(solve(forms)) or subs[-1])
+    assert derive_relations(n, f, seed=1).rounds == len(subs) == len(tables) - 1 >= 1
+    for table, sub in zip(tables[1:], subs):
+        names = _variables(table)
+        assert names and not set(names) & sub.keys()
 
 
 @st.composite
