@@ -589,54 +589,30 @@ def verify_corner_annihilation(a: StructureTable, n: int, f: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _reduced_coefficients(n: int, f: int) -> tuple:
-    """The residue coefficients of reduced_extension(n, f), scanned once."""
-    return tuple(c for _, cs in leibniz_residues(reduced_extension(n, f)) for c in cs.values())
+def _residue_pencil(n: int, f: int) -> tuple:
+    """(rest, rows): the Leibniz residues of reduced_extension(n, f) as a
+    linear matrix pencil M(a)·x = 0 in the diagonal entries a.
 
-
-@lru_cache(maxsize=None)
-def _compiled_residue_rows(n: int, f: int) -> tuple:
-    """Residue equations precompiled against a diagonal/remainder split.
-
-    Returns (rest, rows).  rest orders the non-diagonal parameters; each row
-    is (constants, cells) where constants lists (d1, d2 | None, coeff)
-    monomials built purely from diagonal names and cells maps a rest column
-    to ((dname | None, coeff), ...) contributions.  Evaluating a row at a
-    numeric diagonal is then plain scalar arithmetic, no polynomials.
+    rest orders the non-diagonal parameters as `master_param_names` does.
+    Each distinct residue row, read from the int cells of `_poly_residues`,
+    is a tuple of (diagonal name, rest column, (re, im)) cells, one per
+    monomial, and no row is empty.  For n >= 4 every monomial is one diagonal
+    name times one rest name and D**2 is 1; anything else is a ValueError.
     """
-    diag_set = set()
-    for al in range(1, f + 1):
-        diag_set.update(diagonal_names(n, f, al))
-    rest = tuple(v for v in master_param_names(n, f) if v not in diag_set)
+    diag = {name for al in range(1, f + 1) for name in diagonal_names(n, f, al)}
+    rest = tuple(v for v in master_param_names(n, f) if v not in diag)
     pos = {v: k for k, v in enumerate(rest)}
+    den2, scan = _poly_residues(reduced_extension(n, f))
     rows = []
-    for p in _reduced_coefficients(n, f):
-        constants = []
-        cells = {}
-        for mon, coeff in p.terms.items():
-            names = [nm for nm, e in mon for _ in range(e)]
-            if not names or len(names) > 2:
-                raise ValueError("unexpected residue monomial degree")
-            if len(names) == 1:
-                nm = names[0]
-                if nm in pos:
-                    cells.setdefault(pos[nm], []).append((None, coeff))
-                else:
-                    constants.append((nm, None, coeff))
-                continue
-            x, y = names
-            if x in pos and y in pos:
-                raise ValueError("diagonal substitution left a nonlinear "
-                                 "equation; sampling needs n >= 4")
-            if x in pos:
-                x, y = y, x
-            if y in pos:
-                cells.setdefault(pos[y], []).append((x, coeff))
-            else:
-                constants.append((x, y, coeff))
-        rows.append((tuple(constants),
-                     tuple((col, tuple(contribs))
-                           for col, contribs in cells.items())))
+    for _, comps in scan:
+        for cells in comps.values():
+            row = []
+            for mon, c in cells.items():
+                names = sorted((nm for nm, e in mon for _ in range(e)), key=diag.__contains__)
+                if den2 != 1 or len(names) != 2 or names[1] not in diag or names[0] not in pos:
+                    raise ValueError("residues are not a pencil; sampling needs n >= 4")
+                row.append((names[1], pos[names[0]], c))
+            rows.append(tuple(row))
     return rest, tuple(dict.fromkeys(rows))
 
 
@@ -644,33 +620,19 @@ def _solve_with_diagonal(n: int, f: int, vecs: Sequence[Sequence[Scalar]],
                          rng: random.Random) -> dict:
     """Random exact parameter point where generator al has diagonal vecs[al - 1].
 
-    Numeric diagonals turn every surviving residue into a homogeneous linear
-    equation in the remaining parameters, so a random kernel element gives an
-    exact member of the family.
+    At a numeric diagonal a the pencil is a matrix, M(a) = sum of a_k·M_k,
+    evaluated row by row into the eliminator, and a random element of its
+    kernel gives an exact member of the family.
     """
     diag = {name: v for al in range(1, f + 1)
             for name, v in zip(diagonal_names(n, f, al), vecs[al - 1])}
-    rest, rows = _compiled_residue_rows(n, f)
+    rest, rows = _residue_pencil(n, f)
     acc = RrefAccumulator(len(rest))
-    for constants, cells in rows:
-        total = ZERO
-        for x, y, coeff in constants:
-            t = coeff * diag[x]
-            if y is not None:
-                t = t * diag[y]
-            total = total + t
-        if not total.is_zero():
-            raise ValueError("diagonal entries make a residue equation "
-                             "inconsistent")
+    for cells in rows:
         row = {}
-        for col, contribs in cells:
-            s = ZERO
-            for dname, coeff in contribs:
-                s = s + (coeff if dname is None else coeff * diag[dname])
-            if not s.is_zero():
-                row[col] = s
-        if row:
-            acc.add(row)
+        for dname, col, c in cells:
+            row[col] = row.get(col, ZERO) + Scalar.from_ints(*c, 1) * diag[dname]
+        acc.add(row)
     point = dict(zip(rest, random_kernel_vector(acc, rng)))
     point.update(diag)
     return point
@@ -775,16 +737,36 @@ class MaxExtensionCheck(Record):
                 and self.all_samples_lie and self.samples > 0)
 
 
+def _normalised_span(n: int, corrupt: bool) -> LinearSpan:
+    """The linear forms spanned by the f = n - 1 pencil's rows once generator
+    1's diagonal is fixed at (1, 0, ..., 0), or (1, -1, 0, ...) with corrupt:
+    its cells become linear, the other generators' stay bilinear."""
+    f = n - 1
+    rest, rows = _residue_pencil(n, f)
+    fixed = dict.fromkeys(diagonal_names(n, f, 1), 0)
+    fixed.update(zip(fixed, (1, -1) if corrupt else (1,)))
+    subbed = []
+    for cells in rows:
+        terms = {}
+        for dname, col, (x, y) in cells:
+            mon = ((rest[col], 1),) if dname in fixed else ((dname, 1), (rest[col], 1))
+            k, (u, v) = fixed.get(dname, 1), terms.get(mon, (0, 0))
+            terms[mon] = u + k * x, v + k * y
+        subbed.append({mon: c for mon, c in terms.items() if any(c)})
+    return LinearSpan(_linear_forms(subbed, True))
+
+
 def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
                                 corrupt: bool = False) -> MaxExtensionCheck:
     """Check that every extension with n - 1 generators is a Lie algebra.
 
-    For the span half, the first generator is normalized so its first
-    diagonal entry is 1 and the rest vanish; the skew relations must then
-    appear among the linear consequences of the residues.  The samples are
+    For the span half, the residue pencil is taken with the first
+    generator's diagonal fixed at (1, 0, ..., 0), the other generators'
+    entries left as indeterminates; the skew relations must then lie in the
+    span of its linear consequences (`_normalised_span`).  The samples are
     drawn like `sample_extension_specs`' generic members, from the whole
     full-rank family, and every one must be Lie.  With corrupt=True the
-    normalization and the sampled diagonals are zero-trace, which breaks the
+    fixed diagonal and the sampled diagonals are zero-trace, which breaks the
     rank hypothesis, and the samples are tilted off the skew locus, so
     non-skew members surface.
     """
@@ -792,16 +774,7 @@ def verify_max_extension_is_lie(n: int, seed: int = 0, samples: int = 100,
         raise ValueError("verification requires n >= 4")
     f = n - 1
     _check_rank(n, f)
-    first = diagonal_names(n, f, 1)
-    if corrupt:
-        lead = {first[0]: Poly.const(1), first[1]: Poly.const(-1)}
-        lead.update({name: Poly.zero() for name in first[2:]})
-    else:
-        lead = {first[0]: Poly.const(1)}
-        lead.update({name: Poly.zero() for name in first[1:]})
-    span = LinearSpan(linear_forms_in_span(  # a zero residue adds no row
-        p.substitute(lead) for p in _reduced_coefficients(n, f)))
-
+    span = _normalised_span(n, corrupt)
     missing = tuple(w for w in skew_forms(n, f) if not span.contains(w))
 
     rng = random.Random(seed)

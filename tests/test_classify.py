@@ -1,12 +1,14 @@
 """The 7-dimensional family: building, classifying, canonical targets."""
 
+import inspect
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from leibniz_lab.algebra import (StructureTable, change_of_basis, is_leibniz,
-                                 is_lie, series_signature)
+                                 is_lie, right_annihilator, series_signature)
 from leibniz_lab.classify import (L1_PARAM_NAMES, L2_PARAM_NAMES, L42_PARAM_NAMES,
                                   CanonicalForm, L41Params, build_canonical,
                                   build_L41, classify_L41, distinguish,
@@ -288,3 +290,53 @@ def test_canonical_forms_pairwise_distinct():
     l42 = build_canonical(CanonicalForm("L42", {"s11": ONE}))
     with pytest.raises(ValueError, match="equal dimension"):
         distinguish(tables["L1"], l42)
+
+
+def three_dim(entries):
+    return StructureTable(3, ["e1", "e2", "e3"], entries)
+
+
+def test_distinguish_separates_by_lieness_when_the_series_agree():
+    heisenberg = three_dim({(0, 1): {2: ONE}, (1, 0): {2: -ONE}})
+    one_sided = three_dim({(0, 1): {2: ONE}})
+    assert is_leibniz(heisenberg) and is_leibniz(one_sided)
+    assert series_signature(heisenberg) == series_signature(one_sided) == ((3, 1, 0), (3, 1, 0))
+    assert is_lie(heisenberg) and not is_lie(one_sided)
+    assert distinguish(heisenberg, one_sided) == "distinct"
+
+
+def test_distinguish_separates_by_right_annihilator_when_both_are_non_lie():
+    one_square = three_dim({(0, 0): {2: ONE}})
+    two_squares = three_dim({(0, 0): {2: ONE}, (1, 1): {2: ONE}})
+    assert series_signature(one_square) == series_signature(two_squares)
+    assert not is_lie(one_square) and not is_lie(two_squares)
+    assert (right_annihilator(one_square).dim, right_annihilator(two_squares).dim) == (2, 1)
+    assert distinguish(one_square, two_squares) == "distinct"
+
+
+def lines_run(fn, *args, **kwargs):
+    """(fn's result, the source lines of fn's own frames that ran)."""
+    hits, outer = set(), sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.settrace(outer)
+    source, first = inspect.getsourcelines(fn)
+    return result, {text.strip() for k, text in enumerate(source) if first + k in hits}
+
+
+@pytest.mark.parametrize("seed,repair", [(21, "b14 = ONE"), (430, "b23 = b23 + ONE"),
+                                         (20, "b34 = ONE")])
+def test_each_branch_repair_of_the_l41_sampler_gives_members_that_classify(seed, repair):
+    """A branch whose draw would be skew repairs it; the seeds reach each repair."""
+    params, ran = lines_run(sample_l41_params, 40, seed=seed)
+    assert repair in ran
+    for p in params:
+        classify_and_check_transport(p)

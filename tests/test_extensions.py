@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_lab import extensions
-from leibniz_lab.algebra import is_leibniz, is_lie, is_nilpotent, leibniz_residues
+from leibniz_lab import algebra
+from leibniz_lab.algebra import _poly_residues, is_leibniz, is_lie, is_nilpotent, leibniz_residues
 from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _mon_priority,
-                                    _reduced_coefficients, _tracefree_substitution,
+                                    _normalised_span, _residue_pencil, _tracefree_substitution,
                                     _witness_search, a_name, b_name,
                                     build_extension, derive_relations,
                                     diagonal_names, expected_relation_forms,
@@ -24,7 +25,7 @@ from leibniz_lab.extensions import (WITNESS_DRAWS, ExtensionSpec, _mon_priority,
 from leibniz_lab.linalg import RrefAccumulator
 from leibniz_lab.scalars import ONE, ZERO, Poly, Scalar
 from leibniz_lab.symsolve import LinearSpan, equation_rref
-from leibniz_lab.triangular import (diagonal_vector, nil_independent_count,
+from leibniz_lab.triangular import (diagonal_vector, nil_independent_count, pair_index,
                                     structure_matrices)
 
 
@@ -561,6 +562,26 @@ def test_solve_linear_forms():
         assert form.substitute(sub).is_zero()
 
 
+# -- the Leibniz kernel ------------------------------------------------------
+
+def test_the_symmetric_part_of_every_reduced_family_lies_in_the_corner():
+    """Each [e_i, e_j] + [e_j, e_i], i <= j, of reduced_extension(n, f) is a
+    multiple of N_1n, so the squares of any member span at most that line."""
+    nonzero = 0
+    for n in range(3, 9):
+        corner = pair_index(n, 1, n)
+        for f in range(1, n):
+            table = reduced_extension(n, f)
+            for i in range(table.dim):
+                for j in range(i, table.dim):
+                    left, right = table.row(i, j), table.row(j, i)
+                    for k in left.keys() | right.keys():
+                        if not (left.get(k, Poly.zero()) + right.get(k, Poly.zero())).is_zero():
+                            assert k == corner, (n, f, table.labels[i], table.labels[j], k)
+                            nonzero += 1
+    assert nonzero == 670
+
+
 # -- concrete members --------------------------------------------------------
 
 def test_stated_restrictions_frozen():
@@ -693,26 +714,67 @@ def theorem_lead(n, corrupt):
 @pytest.mark.parametrize("corrupt", [False, True])
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_substituted_cached_residues_span_what_a_rescan_spans(n, corrupt):
-    """The theorem check substitutes into the cached residue coefficients;
-    the linear forms they span are those of the substituted table's scan."""
+    """The theorem check fixes the first diagonal in the pencil's cells; the
+    linear forms they span are those of the substituted table's scan."""
     lead = theorem_lead(n, corrupt)
     rescan = [c for _, comps in leibniz_residues(reduced_extension(n, n - 1).substitute(lead))
               for c in comps.values()]
-    subbed = [p.substitute(lead) for p in _reduced_coefficients(n, n - 1)]
-    assert [p for p in subbed if not p.is_zero()]
-    assert (LinearSpan(linear_forms_in_span(subbed))
-            == LinearSpan(linear_forms_in_span(rescan)))
+    span = _normalised_span(n, corrupt)
+    assert span.dim > 0
+    assert span == LinearSpan(linear_forms_in_span(rescan))
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_a_cold_theorem_check_scans_the_family_once(monkeypatch, corrupt):
-    calls = []
-    monkeypatch.setattr(extensions, "leibniz_residues",
-                        lambda a: calls.append(a.ring) or leibniz_residues(a))
-    for cached in (reduced_extension, _reduced_coefficients, extensions._compiled_residue_rows):
+    scans, rings = [], []
+    monkeypatch.setattr(extensions, "_poly_residues", lambda a: scans.append(a) or _poly_residues(a))
+    for mod in (extensions, algebra):
+        monkeypatch.setattr(mod, "leibniz_residues",
+                            lambda a: rings.append(a.ring) or leibniz_residues(a))
+    for cached in (reduced_extension, _residue_pencil):
         cached.cache_clear()
     assert verify_max_extension_is_lie(4, samples=3, corrupt=corrupt).ok != corrupt
-    assert calls == ["poly"]
+    assert scans == [reduced_extension(4, 3)]
+    assert "poly" not in rings
+
+
+# -- the residue pencil ------------------------------------------------------
+
+def test_the_residues_are_a_pencil_in_the_diagonal():
+    """Every residue monomial is one diagonal name times one other name, over
+    a common denominator of 1, and every distinct row has a cell."""
+    for n in range(4, 9):
+        for f in range(1, n):
+            diag = {name for al in range(1, f + 1) for name in diagonal_names(n, f, al)}
+            rest, rows = _residue_pencil(n, f)
+            assert rest == tuple(v for v in master_param_names(n, f) if v not in diag)
+            assert rows and len(set(rows)) == len(rows)
+            for row in rows:
+                assert row
+                assert len({cell[:2] for cell in row}) == len(row)
+                assert all(d in diag and 0 <= col < len(rest) and any(c) for d, col, c in row)
+
+
+@pytest.mark.parametrize("n,f", [(4, 1), (4, 3), (5, 2)])
+def test_the_pencil_rows_are_the_residue_coefficients(n, f):
+    rest, rows = _residue_pencil(n, f)
+    from_pencil = {sum(((Poly.var(d) * Poly.var(rest[col])).scale(Scalar.from_ints(*c, 1))
+                        for d, col, c in row), Poly.zero()) for row in rows}
+    scanned = {p for _, comps in leibniz_residues(reduced_extension(n, f)) for p in comps.values()}
+    assert from_pencil == scanned
+
+
+def test_the_pencil_rejects_residues_of_another_shape(monkeypatch):
+    # the generic table's residues multiply two non-diagonal names
+    monkeypatch.setattr(extensions, "reduced_extension", lambda n, f: generic_extension(4, 1))
+    with pytest.raises(ValueError, match="not a pencil"):
+        _residue_pencil.__wrapped__(4, 1)
+    # halving one diagonal name makes D**2 = 4
+    halved = reduced_extension(4, 1).substitute(
+        {"a1_12_12": Poly.var("a1_12_12").scale(Scalar.from_ints(1, 0, 2))})
+    monkeypatch.setattr(extensions, "reduced_extension", lambda n, f: halved)
+    with pytest.raises(ValueError, match="not a pencil"):
+        _residue_pencil.__wrapped__(4, 1)
 
 
 def test_verify_max_extension_corrupt_mode_is_sensitive():

@@ -1,9 +1,14 @@
-"""Source hygiene: every name a program module imports is read there."""
+"""Source hygiene: every name a program module imports is read there, and
+every private name the prose cites is defined."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibniz_lab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "leibniz_lab"
 
 
 def unused_imports(source: str) -> list:
@@ -76,3 +81,45 @@ def test_program_modules_read_every_private_name():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 1
     assert unread_private_names(sources) == []
+
+
+CITABLE = {"_fields", "_replace", "_asdict"}  # namedtuple's, which `Record` keeps
+
+
+def stale_private_names(sources: dict, texts: tuple = ()) -> list:
+    """Each private name cited in backticks, in texts or in the docstrings
+    and comments of sources ({module: source}), that no module of sources
+    defines at module level or in a module-level class body; sorted, once.
+
+    A name is cited where it begins a backticked span or follows a dot or a
+    non-word character inside one; dunder names and CITABLE are skipped.
+    """
+    defined, prose = set(), list(texts)
+    for source in sources.values():
+        tree = ast.parse(source)
+        for node in tree.body:
+            for inner in (node, *(node.body if isinstance(node, ast.ClassDef) else ())):
+                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.add(inner.name)
+                elif isinstance(inner, (ast.Assign, ast.AnnAssign)):
+                    targets = inner.targets if isinstance(inner, ast.Assign) else [inner.target]
+                    defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        prose += [ast.get_docstring(node) or "" for node in ast.walk(tree) if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+        prose += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if tok.type == tokenize.COMMENT]
+    cited = {name for text in prose for span in re.findall(r"`([^`]+)`", text)
+             for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)}
+    return sorted(cited - defined - CITABLE)
+
+
+def test_the_prose_cites_only_defined_private_names():
+    # the check itself sees a stale name in a text, a docstring and a comment,
+    # resolves module-level and class-body definitions, and skips CITABLE
+    assert stale_private_names(
+        {"a.py": '"""Uses `_gone(x)`."""\n_A = 1\nclass C:\n    def _m(self):\n'
+                 '        """`_A`, `C._m` and `_fields`."""\n'
+                 '        return 1  # once `_old`\n'},
+        ("see `mod._stale` and `_A`, not _plain",)) == ["_gone", "_old", "_stale"]
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert stale_private_names(sources, ((ROOT / "README.md").read_text(),)) == []
